@@ -12,10 +12,10 @@ import (
 // not a candidate). The scores are bit-identical to len(ps) individual
 // ScoreLatency calls: the batch runs the same Step 1–3 arithmetic in the
 // same order per problem, and the structure-of-arrays win comes from the
-// evaluator's memo layers staying hot across the slab — sibling nests share
-// per-operand Step-1 content (opCache, including its consecutive-key fast
-// path) and port-combination content (combineCache), so the marginal cost of
-// a batch member is often just the key probes.
+// evaluator's Step-1 memo staying hot across the slab — sibling nests share
+// per-operand content (opCache, including its consecutive-key fast path), so
+// a batch member's Step 1 is often just the key probes, and its Step 2 is a
+// handful of O(k) window unions (package periodic).
 //
 // Like every Evaluator method, ScoreBatch is not safe for concurrent use.
 func (ev *Evaluator) ScoreBatch(ps []*Problem, out []float64) error {

@@ -77,11 +77,9 @@ func TestScoreBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCombineCacheBitIdentical: the Step-2 combine cache must intern far
-// fewer port combinations than it serves while never changing a score
-// (bit-identity vs fresh evaluators is asserted by
-// TestScoreBatchBitIdentical and TestOpCacheBitIdentical; this test pins the
-// cache actually being exercised).
+// TestCombineCacheBitIdentical: Step 2 keeps no memo of its own, and a
+// shared evaluator — whose combine scratch carries state from every earlier
+// port — must score each nest bit-identically to a fresh evaluator.
 func TestCombineCacheBitIdentical(t *testing.T) {
 	l := workload.NewConv2D("c", 1, 4, 2, 4, 4, 3, 3)
 	a := microArch(4, 37, 53, 29, false)
@@ -101,15 +99,66 @@ func TestCombineCacheBitIdentical(t *testing.T) {
 			m.Bound[op] = []int{2, len(tmp)}
 		}
 		p := &Problem{Layer: &l, Arch: a, Mapping: m}
-		if _, err := shared.ScoreLatency(p); err == nil {
-			evals++
+		got, err := shared.ScoreLatency(p)
+		var fresh Evaluator
+		want, werr := fresh.ScoreLatency(p)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("temporal %v: shared err %v, fresh err %v", tmp, err, werr)
 		}
+		if err != nil {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("temporal %v: shared %v != fresh %v", tmp, got, want)
+		}
+		evals++
 	}
 	if evals < 100 {
 		t.Fatalf("only %d evaluations ran", evals)
 	}
-	if n := len(shared.cc.m); n == 0 || n >= evals*2 {
-		t.Fatalf("combine cache interned %d combinations over %d evaluations — no reuse", n, evals)
+}
+
+// TestScoreNoAlloc: once an evaluator has scored a slab, scoring it again —
+// one problem at a time or as a batch — allocates nothing. Step 2 runs on
+// every call (it has no memo), so this also pins the combine and window-union
+// scratch being reused.
+func TestScoreNoAlloc(t *testing.T) {
+	l := workload.NewConv2D("c", 1, 4, 2, 4, 4, 3, 3)
+	a := microArch(4, 37, 53, 29, false)
+	var ps []*Problem
+	for _, tmp := range permute(loops.Nest{
+		{Dim: loops.C, Size: 2}, {Dim: loops.OX, Size: 4}, {Dim: loops.FY, Size: 3},
+	}) {
+		m := &mapping.Mapping{Spatial: loops.Nest{{Dim: loops.K, Size: 4}}, Temporal: tmp}
+		for _, op := range loops.AllOperands {
+			m.Bound[op] = []int{1, len(tmp)}
+		}
+		ps = append(ps, &Problem{Layer: &l, Arch: a, Mapping: m})
 	}
-	t.Logf("combine cache: %d interned combinations over %d evaluations", len(shared.cc.m), evals)
+	ev := NewEvaluator()
+	out := make([]float64, len(ps))
+	if err := ev.ScoreBatch(ps, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range out {
+		if math.IsNaN(s) {
+			t.Fatalf("problem %d (temporal %v) does not evaluate", i, ps[i].Mapping.Temporal)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, p := range ps {
+			if _, err := ev.ScoreLatency(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("ScoreLatency over %d warm problems allocated %.1f times", len(ps), n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := ev.ScoreBatch(ps, out); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ScoreBatch over %d warm problems allocated %.1f times", len(ps), n)
+	}
 }

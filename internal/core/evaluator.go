@@ -34,8 +34,7 @@ type Evaluator struct {
 	busy     []portBusyCC   // preload shared-port serialization scratch
 	sc       combineScratch // Eq. (1)/(2) scratch
 
-	opc opCache      // Step-1 sub-result memo tables (opcache.go)
-	cc  combineCache // Step-2 port-combination memo table (combinecache.go)
+	opc opCache // Step-1 sub-result memo tables (opcache.go)
 }
 
 // NewEvaluator returns an empty evaluator (equivalent to new(Evaluator)).
@@ -189,7 +188,7 @@ func (ev *Evaluator) ssRaw(p *Problem, eps []*Endpoint) float64 {
 	ev.groupPorts(eps)
 	for i := range ev.groups {
 		g := &ev.groups[i]
-		g.ss, g.muw, g.exact = ev.combineCached(g.eps, opts)
+		g.ss, g.muw, g.exact = combineEq(g.eps, opts, &ev.sc)
 	}
 	ev.reduceMems()
 	ssRaw := integrateValues(ev.mems, p.Arch.Combine)

@@ -124,10 +124,11 @@ func Union(ws []Window) (length int64, exact bool) {
 	return unionLength(ws, nil)
 }
 
-// UnionScratch carries the cursor buffer of the union computation so that
+// UnionScratch carries the buffers of the union computation so that
 // repeated UnionWith calls (one per physical port per model evaluation)
-// reuse it instead of allocating.
+// reuse them instead of allocating.
 type UnionScratch struct {
+	live []Window
 	runs []mergeRun
 }
 
@@ -147,17 +148,24 @@ func unionLength(ws []Window, sc *UnionScratch) (int64, bool) {
 	if sc == nil {
 		sc = &UnionScratch{}
 	}
-	// Drop empty windows.
-	live := ws[:0:0]
+	// Drop empty windows and fold every window into a live window that
+	// contains it: windows with the same (Period, Start, Active) are
+	// prefixes of one another, so the one with the largest Count is their
+	// union. On a shared read-write port this is the common case (the
+	// O-operand drain and the psum read-back repeat one pattern over
+	// different counts), and folding turns it into the one-window path
+	// instead of a period-by-period expansion of the whole span.
+	live := sc.live[:0]
 	span := int64(0)
 	for _, w := range ws {
 		if w.Span() > span {
 			span = w.Span()
 		}
 		if w.TotalActive() > 0 {
-			live = append(live, w)
+			live = fold(live, w)
 		}
 	}
+	sc.live = live
 	if len(live) == 0 || span == 0 {
 		return 0, true
 	}
@@ -171,26 +179,31 @@ func unionLength(ws []Window, sc *UnionScratch) (int64, bool) {
 		return live[0].TotalActive(), true
 	}
 
+	// Folding leaves the set of periods, and so the hyperperiod, unchanged.
+	// The fallback predicates below are summed over the unfolded windows,
+	// so every input that took the fallback before folding still takes it.
 	h := hyperperiod(live, span)
 	if h > span {
 		h = span
 	}
 	// Estimate the interval count; fall back if pathological.
-	var count int64
-	for _, w := range live {
+	var count, fullCount int64
+	allFullSpan := true
+	for _, w := range ws {
+		if w.TotalActive() == 0 {
+			continue
+		}
 		count += h/w.Period + 1
+		fullCount += w.Count + 1
+		if w.Span() != span {
+			allFullSpan = false
+		}
 	}
 	if count > maxUnionIntervals {
 		// Conservative fallback: the union is at least as long as the
 		// longest member (underestimating the union overestimates the
 		// combined stall — safe for a latency bound).
-		best := int64(0)
-		for _, w := range live {
-			if ta := w.TotalActive(); ta > best {
-				best = ta
-			}
-		}
-		return best, false
+		return longest(live), false
 	}
 
 	runs := sc.runs[:0]
@@ -210,36 +223,45 @@ func unionLength(ws []Window, sc *UnionScratch) (int64, bool) {
 	// The union pattern repeats every h cycles for windows spanning the
 	// full range; windows with shorter spans only contribute to their own
 	// prefix. When all spans equal the max span the repetition is exact.
-	allFullSpan := true
-	for _, w := range live {
-		if w.Span() != span {
-			allFullSpan = false
-			break
-		}
-	}
 	if allFullSpan {
 		return perH * (span / h), true
 	}
 	// Mixed spans: compute exactly over the whole range if affordable.
-	var fullCount int64
-	for _, w := range live {
-		fullCount += w.Count + 1
+	if fullCount > maxUnionIntervals {
+		return longest(live), false
 	}
-	if fullCount <= maxUnionIntervals {
-		runs = runs[:0]
-		for _, w := range live {
-			runs = append(runs, mergeRun{period: w.Period, start: w.Start, active: w.Active, limit: w.Span()})
+	runs = runs[:0]
+	for _, w := range live {
+		runs = append(runs, mergeRun{period: w.Period, start: w.Start, active: w.Active, limit: w.Span()})
+	}
+	sc.runs = runs
+	return mergedLength(runs), true
+}
+
+// fold adds w to the live set, merging it with a member of the same
+// (Period, Start, Active) pattern by keeping the larger Count.
+func fold(live []Window, w Window) []Window {
+	for i := range live {
+		l := &live[i]
+		if l.Period == w.Period && l.Start == w.Start && l.Active == w.Active {
+			if w.Count > l.Count {
+				l.Count = w.Count
+			}
+			return live
 		}
-		sc.runs = runs
-		return mergedLength(runs), true
 	}
+	return append(live, w)
+}
+
+// longest is the fallback bound: the largest member's total active length.
+func longest(ws []Window) int64 {
 	best := int64(0)
-	for _, w := range live {
+	for _, w := range ws {
 		if ta := w.TotalActive(); ta > best {
 			best = ta
 		}
 	}
-	return best, false
+	return best
 }
 
 // mergeRun is one window's cursor in the k-way interval merge: it yields the
@@ -318,22 +340,28 @@ func IntersectLength(a, b Window) int64 {
 	if span == 0 || a.Active == 0 || b.Active == 0 {
 		return 0
 	}
-	h := int64(1)
-	g := gcd(a.Period, b.Period)
-	h = a.Period / g * b.Period
-	if h > span {
-		h = span
+	// Both patterns repeat every h = lcm(Pa, Pb) cycles within the common
+	// span: count whole hyperperiods, then the remainder [⌊span/h⌋·h, span),
+	// which is the same as the prefix [0, span mod h).
+	h := a.Period / gcd(a.Period, b.Period) * b.Period
+	if h >= span {
+		return intersectPrefix(a, b, span)
 	}
+	return intersectPrefix(a, b, h)*(span/h) + intersectPrefix(a, b, span%h)
+}
+
+// intersectPrefix returns |active(a) ∩ active(b) ∩ [0, limit)|, walking a's
+// intervals and clipping each against b.
+func intersectPrefix(a, b Window, limit int64) int64 {
 	var total int64
-	// Walk a's intervals within one hyperperiod and clip against b.
 	count := int64(0)
-	for base := int64(0); base < h; base += a.Period {
+	for base := int64(0); base < limit; base += a.Period {
 		lo, hi := base+a.Start, base+a.Start+a.Active
-		if lo >= h {
+		if lo >= limit {
 			break
 		}
-		if hi > h {
-			hi = h
+		if hi > limit {
+			hi = limit
 		}
 		total += overlapWithPeriodic(lo, hi, b)
 		count++
@@ -341,10 +369,7 @@ func IntersectLength(a, b Window) int64 {
 			break
 		}
 	}
-	if h >= span {
-		return total
-	}
-	return total * (span / h)
+	return total
 }
 
 // overlapWithPeriodic returns |[lo,hi) ∩ active(b)| assuming hi-lo fits in

@@ -162,6 +162,63 @@ func TestUnionAgainstBruteRandom(t *testing.T) {
 			t.Fatalf("trial %d: expected exact union", trial)
 		}
 	}
+
+	// Mixed spans: counts drawn independently (zero included), and most
+	// trials hold a same-pattern group of 2–4 windows that differ only in
+	// Count, the shape the union folds.
+	draw := func() Window {
+		periods := []int64{1, 2, 3, 4, 5, 6, 8, 12}
+		p := periods[rng.Intn(len(periods))]
+		x := rng.Int63n(p + 1)
+		s := int64(0)
+		if p-x > 0 {
+			s = rng.Int63n(p - x + 1)
+		}
+		return Window{Period: p, Active: x, Start: s, Count: rng.Int63n(9)}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		var ws []Window
+		if rng.Intn(4) != 0 {
+			pat := draw()
+			for g := 2 + rng.Intn(3); g > 0; g-- {
+				w := pat
+				w.Count = rng.Int63n(9)
+				ws = append(ws, w)
+			}
+		}
+		for n := rng.Intn(3); n > 0 || len(ws) == 0; n-- {
+			ws = append(ws, draw())
+		}
+		rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+		in := append([]Window(nil), ws...)
+		got, exact := Union(ws)
+		if want := bruteUnion(ws); got != want || !exact {
+			t.Fatalf("mixed trial %d: union = %d (exact %v), brute = %d, ws = %v", trial, got, exact, want, ws)
+		}
+		for i := range ws {
+			if ws[i] != in[i] {
+				t.Fatalf("mixed trial %d: Union modified its input: %v -> %v", trial, in, ws)
+			}
+		}
+	}
+}
+
+// TestUnionFoldSamePattern: a same-pattern group folds into its
+// largest-count member even when expanding every period would exceed the
+// interval cap, while a set that still holds two patterns after folding
+// keeps the fallback decision of its unfolded windows.
+func TestUnionFoldSamePattern(t *testing.T) {
+	big := Tail(4, 1, 1<<20)
+	small := big
+	small.Count = big.Count - 1 // Σ(Count+1) over the pair exceeds maxUnionIntervals
+	if u, exact := Union([]Window{small, big}); u != big.TotalActive() || !exact {
+		t.Errorf("same-pattern group: union %d exact %v, want %d exact", u, exact, big.TotalActive())
+	}
+	other := Tail(3, 1, 5)
+	u, exact := Union([]Window{small, big, other})
+	if exact || u != big.TotalActive() {
+		t.Errorf("two patterns past the cap: union %d exact %v, want fallback %d", u, exact, big.TotalActive())
+	}
 }
 
 func TestUnionProperties(t *testing.T) {
@@ -218,6 +275,41 @@ func TestIntersectLength(t *testing.T) {
 	}
 	if got := IntersectLength(c, d); got != want {
 		t.Errorf("coprime intersect = %d, want %d", got, want)
+	}
+	// A common span that is not a multiple of lcm(4, 6) = 12: the
+	// remainder [12, 20) holds one more overlapping cycle.
+	if got := IntersectLength(Tail(4, 2, 5), Tail(6, 3, 4)); got != 4 {
+		t.Errorf("remainder intersect = %d, want 4", got)
+	}
+}
+
+// TestIntersectAgainstBruteSweep checks every pair of tail windows with
+// period <= 8 and count <= 7 against the bitmap count.
+func TestIntersectAgainstBruteSweep(t *testing.T) {
+	var ws []Window
+	for p := int64(1); p <= 8; p++ {
+		for x := int64(0); x <= p; x++ {
+			for z := int64(0); z <= 7; z++ {
+				ws = append(ws, Tail(p, x, z))
+			}
+		}
+	}
+	for _, a := range ws {
+		for _, b := range ws {
+			span := a.Span()
+			if b.Span() < span {
+				span = b.Span()
+			}
+			var want int64
+			for tm := int64(0); tm < span; tm++ {
+				if a.ActiveAt(tm) && b.ActiveAt(tm) {
+					want++
+				}
+			}
+			if got := IntersectLength(a, b); got != want {
+				t.Fatalf("intersect %v %v = %d, brute %d", a, b, got, want)
+			}
+		}
 	}
 }
 
