@@ -39,8 +39,8 @@ bench:
 		-benchmem -benchtime=2s . ./internal/mapper ./internal/serve ./internal/fabric | tee /dev/stderr | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -out BENCH_mapper.json
 
 # Two passes. First, one iteration of every benchmark in the repo (the
-# surrogate and batch-scoring benchmarks included): CI runs this so a
-# benchmark that stops compiling or starts failing is caught on the PR, and
+# batch-scoring benchmarks included): CI runs this so a benchmark that
+# stops compiling or starts failing is caught on the PR, and
 # the cmd/benchjson parser is exercised end to end; its -compare delta
 # report against the checked-in BENCH_mapper.json is informational ONLY —
 # single-iteration timings include one-time cold-start costs (empty memo

@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/calib"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/experiments"
-	"repro/internal/fusion"
 	"repro/internal/mapper"
 	"repro/internal/memo"
 	"repro/internal/network"
@@ -22,8 +19,8 @@ import (
 )
 
 // Benchmarks for the extension modules beyond the paper's figures: the
-// cross-layer network model, the fusion optimizer, sensitivity analysis,
-// the joint spatial+temporal search, and the analysis utilities.
+// cross-layer network model, sensitivity analysis, the joint
+// spatial+temporal search, and the analysis utilities.
 
 func benchNet() *network.Network {
 	return &network.Network{
@@ -180,29 +177,6 @@ func BenchmarkMultiCoreScaling(b *testing.B) {
 	b.ReportMetric(r.Speedup, "speedup-x")
 }
 
-// BenchmarkFusionOptimize runs the fusion planner on a spill-heavy network.
-func BenchmarkFusionOptimize(b *testing.B) {
-	hw := arch.CaseStudy()
-	hw.MemoryByName("GB").CapacityBits = 100 * 1024 * 8
-	net := &network.Network{
-		Name: "spilly",
-		Layers: []workload.Layer{
-			workload.NewPointwise("pw1", 1, 64, 16, 28, 28),
-			workload.NewPointwise("pw2", 1, 64, 64, 28, 28),
-			workload.NewPointwise("pw3", 1, 32, 64, 28, 28),
-		},
-	}
-	var r *fusion.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = fusion.Optimize(net, hw, arch.CaseStudySpatial(), &fusion.Options{MaxCandidates: 600})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.SavedCC, "saved-cc")
-}
-
 // BenchmarkSensitivityTornado sweeps every knob of the case-study arch.
 func BenchmarkSensitivityTornado(b *testing.B) {
 	l := workload.NewMatMul("t", 128, 128, 8)
@@ -301,43 +275,4 @@ func BenchmarkAnnealSearch(b *testing.B) {
 		cc = cand.Result.CCTotal
 	}
 	b.ReportMetric(cc, "best-cc")
-}
-
-// BenchmarkCalibration fits the energy table to synthetic measurements.
-func BenchmarkCalibration(b *testing.B) {
-	hw := arch.CaseStudy()
-	shapes := [][3]int64{{16, 32, 32}, {64, 16, 64}, {32, 64, 16}, {64, 64, 64}, {128, 32, 16}}
-	precs := []workload.Precision{
-		{W: 8, I: 8, O: 24}, {W: 4, I: 4, O: 16}, {W: 16, I: 8, O: 32},
-		{W: 8, I: 8, O: 8}, {W: 16, I: 16, O: 32},
-	}
-	var samples []calib.Sample
-	truth := energy.Default7nm()
-	for i, s := range shapes {
-		l := workload.NewMatMul("c", s[0], s[1], s[2])
-		l.Precision = precs[i]
-		best, _, err := mapper.Best(context.Background(), &l, hw, &mapper.Options{
-			Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 300,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		layer := l
-		p := &core.Problem{Layer: &layer, Arch: hw, Mapping: best.Mapping}
-		eb, err := energy.Evaluate(p, truth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples = append(samples, calib.Sample{Problem: p, EnergyPJ: eb.TotalPJ})
-	}
-	b.ResetTimer()
-	var fit float64
-	for i := 0; i < b.N; i++ {
-		tbl, err := calib.Fit(samples, truth.WritePenalty)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fit = tbl.MACpJ
-	}
-	b.ReportMetric(fit, "fitted-MACpJ")
 }

@@ -374,26 +374,8 @@ func BenchmarkMapperSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperSearchNoSurrogate is BenchmarkMapperSearch with the
-// surrogate-guided candidate ordering disabled — the canonical walk order,
-// for guided-vs-lexicographic speedup accounting (the result is
-// bit-identical; only the prune rate changes).
-func BenchmarkMapperSearchNoSurrogate(b *testing.B) {
-	layer := workload.NewMatMul("search", 128, 128, 128)
-	hw := arch.CaseStudy()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := mapper.Best(context.Background(), &layer, hw, &mapper.Options{
-			Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 1000,
-			NoSurrogate: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScoreBatch scores slabs of 64 problems through the
-// structure-of-arrays batch entry point — the configuration the guided
+// structure-of-arrays batch entry point — the configuration the latency
 // workers run — against a retained evaluator.
 func BenchmarkScoreBatch(b *testing.B) {
 	base := caseStudyProblem(b)

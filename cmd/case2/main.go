@@ -23,7 +23,6 @@ func main() {
 		grid     = flag.Bool("grid", false, "full BxKxC grid with a discrepancy heatmap")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -43,7 +42,7 @@ func main() {
 	if *grid {
 		extents := []int64{8, 32, 128, 512}
 		cells, err := experiments.Case2Grid(extents, &experiments.Case2Options{
-			MaxCandidates: *budget / 4, NoReduce: *nosym, NoSurrogate: *nosur,
+			MaxCandidates: *budget / 4, NoReduce: *nosym,
 		})
 		if err != nil {
 			fatal("%v", err)
@@ -63,7 +62,7 @@ func main() {
 		return
 	}
 
-	rows, err := experiments.Case2(&experiments.Case2Options{MaxCandidates: *budget, NoReduce: *nosym, NoSurrogate: *nosur})
+	rows, err := experiments.Case2(&experiments.Case2Options{MaxCandidates: *budget, NoReduce: *nosym})
 	if err != nil {
 		fatal("%v", err)
 	}

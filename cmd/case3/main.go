@@ -26,7 +26,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "CSV of all points")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -44,7 +43,7 @@ func main() {
 	defer func() { fmt.Println(memo.Default.Counters()) }()
 
 	r, err := experiments.Case3(&experiments.Case3Options{
-		Quick: *quick, MaxCandidates: *budget, NoReduce: *nosym, NoSurrogate: *nosur,
+		Quick: *quick, MaxCandidates: *budget, NoReduce: *nosym,
 	})
 	if err != nil {
 		fatal("%v", err)

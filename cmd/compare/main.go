@@ -35,7 +35,6 @@ func main() {
 		budget   = flag.Int("budget", 8000, "mapping search budget per architecture")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -77,7 +76,7 @@ func main() {
 			layer = workload.Im2Col(conv)
 		}
 		best, _, err := mapper.BestCached(context.Background(), &layer, p.hw, &mapper.Options{
-			Spatial: p.spatial, BWAware: true, MaxCandidates: *budget, NoReduce: *nosym, NoSurrogate: *nosur,
+			Spatial: p.spatial, BWAware: true, MaxCandidates: *budget, NoReduce: *nosym,
 		})
 		if err != nil {
 			tb.Add(p.hw.Name, p.hw.MACs, "unmappable", "-", "-", "-", "-")

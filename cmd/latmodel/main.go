@@ -72,7 +72,6 @@ func main() {
 		spatial  = flag.String("spatial", "", "override spatial unrolling, e.g. \"K 16 | B 8 | C 2\"")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 		explain  = flag.Bool("explain", false, "print the stall-attribution explainer (per-DTL stalls, critical chain)")
 		explJSON = flag.String("explainjson", "", "write the full explainer report as JSON to this file")
 		traceOut = flag.String("tracejson", "", "write a Chrome/Perfetto trace-event file of the port timelines to this file")
@@ -180,7 +179,6 @@ func main() {
 
 	hooks := progressHooks(*progress)
 	var best *mapper.Candidate
-	var searchStats *mapper.Stats
 	if fixed != nil {
 		if err := fixed.Validate(&layer, hw); err != nil {
 			fatal("fixed mapping invalid: %v", err)
@@ -195,7 +193,7 @@ func main() {
 	} else if *anneal {
 		var err error
 		best, err = mapper.AnnealCached(context.Background(), &layer, hw, &mapper.AnnealOptions{
-			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, NoReduce: *nosym, NoSurrogate: *nosur, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, NoReduce: *nosym, Hooks: hooks,
 		})
 		if err != nil {
 			fatal("annealing: %v", err)
@@ -206,7 +204,7 @@ func main() {
 		var stats *mapper.Stats
 		var err error
 		opt := &mapper.Options{
-			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, NoReduce: *nosym, NoSurrogate: *nosur, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, NoReduce: *nosym, Hooks: hooks,
 		}
 		var run mapper.SearchFunc
 		var steals atomic.Int64
@@ -249,7 +247,6 @@ func main() {
 		}
 		fmt.Printf("arch: %s (%d MACs)\nlayer: %s\nsearch: %d nests, %d valid\n\n",
 			hw.Name, hw.MACs, layer.String(), stats.NestsGenerated, stats.Valid)
-		searchStats = stats
 	}
 	fmt.Println(best.Mapping)
 	fmt.Print(dataflow.Classify(best.Mapping).Describe())
@@ -276,12 +273,6 @@ func main() {
 		if *explain {
 			fmt.Println()
 			fmt.Print(rep.Text())
-			if st := searchStats; st != nil && !*nosur && st.Valid > 0 {
-				fmt.Printf("guided search: surrogate order pruned %d of %d candidates before evaluation (%.1f%%), rank correlation %.3f\n",
-					st.SurrogatePruned, st.Valid,
-					100*float64(st.SurrogatePruned)/float64(st.Valid),
-					st.SurrogateRankCorr)
-			}
 		}
 		if *explJSON != "" {
 			data, err := rep.JSON()

@@ -43,7 +43,6 @@ func main() {
 		objName  = flag.String("objective", "latency", "per-layer mapping objective: latency|energy|edp")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 		explain  = flag.Bool("explain", false, "print the per-layer critical-DTL table (stall attribution)")
 	)
 	flag.Parse()
@@ -135,7 +134,6 @@ func main() {
 		NoPrefetch:    *noPre,
 		PlanGB:        *planGB,
 		NoReduce:      *nosym,
-		NoSurrogate:   *nosur,
 	}
 	if *scaling {
 		curve, err := network.ScalingCurve(context.Background(), net, hw, sp, *cores, &network.MultiCoreOptions{

@@ -247,10 +247,10 @@ type Arch struct {
 	// Combine selects the Step-3 cross-memory stall integration mode.
 	Combine StallCombine
 
-	// chains memoizes ChainMems: the mapper's guided producer resolves the
-	// chains for every walked candidate, and the per-call slice allocation
-	// plus MemoryByName scans dominated its allocation profile. Resolved
-	// once, on first use — Chain must not be edited afterwards (no caller
+	// chains memoizes ChainMems: the evaluator, the mapper and the simulator
+	// resolve the chains per problem, and the per-call slice allocation plus
+	// MemoryByName scans would show up in every search. Resolved once, on
+	// first use — Chain must not be edited afterwards (no caller
 	// does; every Arch is fully built before the first search touches it).
 	chainOnce sync.Once
 	chains    [loops.NumOperands][]*Memory

@@ -68,9 +68,6 @@ type Config struct {
 	// NoReduce disables the symmetry-reduced enumeration in the per-point
 	// searches; results are identical, only search time changes.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering in the
-	// per-point searches; results are identical, only search time changes.
-	NoSurrogate bool
 	// Workers bounds parallelism: 0 draws from the shared process-wide
 	// worker budget (package par), n >= 1 forces exactly n workers.
 	Workers int
@@ -238,7 +235,6 @@ func Sweep(ctx context.Context, cfg *Config) ([]Point, error) {
 			Pow2Splits:    true,
 			MaxCandidates: cfg.MaxCandidates,
 			NoReduce:      cfg.NoReduce,
-			NoSurrogate:   cfg.NoSurrogate,
 		})
 		if err == nil {
 			pt.Latency = best.Result.CCTotal

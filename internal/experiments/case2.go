@@ -39,9 +39,6 @@ type Case2Options struct {
 	// NoReduce disables the symmetry-reduced enumeration in the per-layer
 	// searches; results are identical, only search time changes.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering in the
-	// per-layer searches; results are identical, only search time changes.
-	NoSurrogate bool
 }
 
 // Case2 reproduces Fig. 7: sweep the (B, K, C) layer grid on the fixed
@@ -62,7 +59,7 @@ func Case2(opt *Case2Options) ([]Case2Row, error) {
 	for _, l := range workload.Case2Sweep() {
 		layer := l
 		best, _, err := mapper.BestCached(context.Background(), &layer, hw, &mapper.Options{
-			Spatial: sp, BWAware: true, MaxCandidates: maxCand, NoReduce: opt.NoReduce, NoSurrogate: opt.NoSurrogate,
+			Spatial: sp, BWAware: true, MaxCandidates: maxCand, NoReduce: opt.NoReduce,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("case2: %s: %w", l.Name, err)

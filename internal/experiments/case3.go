@@ -25,9 +25,6 @@ type Case3Options struct {
 	// NoReduce disables the symmetry-reduced enumeration in the per-point
 	// searches; results are identical, only search time changes.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering in the
-	// per-point searches; results are identical, only search time changes.
-	NoSurrogate bool
 }
 
 // Case3 reproduces Fig. 8: sweep the architecture pool under the three
@@ -48,7 +45,6 @@ func Case3(opt *Case3Options) (*Case3Result, error) {
 			cfg.MaxCandidates = opt.MaxCandidates
 		}
 		cfg.NoReduce = opt.NoReduce
-		cfg.NoSurrogate = opt.NoSurrogate
 		return cfg, nil
 	}
 	out := &Case3Result{}

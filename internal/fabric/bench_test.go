@@ -37,14 +37,11 @@ func fabricBenchProblem() (workload.Layer, *mapper.Options) {
 	// whose permutations are the partition's indivisible unit — and no planner
 	// can balance a walk whose budget lives inside one multiset. Uncapped, the
 	// heaviest multiset is ~4% of the walk and the greedy partition is near
-	// even for every K measured here. NoSurrogate keeps the per-ordering cost
-	// uniform: each shard otherwise warms its own surrogate from scratch, a
-	// trajectory-dependent overhead that grows the total work with K and
-	// would blur the partition's own balance.
+	// even for every K measured here.
 	layer := workload.NewMatMul("search", 128, 128, 128)
 	mo := &mapper.Options{
 		Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 50_000,
-		NoReduce: true, NoSurrogate: true,
+		NoReduce: true,
 	}
 	return layer, mo
 }
@@ -80,7 +77,7 @@ func BenchmarkFabricShardWorkCapped(b *testing.B) {
 	layer := workload.NewConv2D("capped", 1, 128, 128, 14, 14, 3, 3)
 	mo := &mapper.Options{
 		Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 50_000,
-		NoReduce: true, NoSurrogate: true,
+		NoReduce: true,
 	}
 	benchShardWork(b, layer, mo)
 }

@@ -10,9 +10,8 @@
 // order. WHERE a shard executes — this process, any node, after any number
 // of retries — cannot change a single emitted seq, so Best, the exact Stats
 // counters and the CLI rendering are byte-identical for any K, any node
-// list and any worker count. Only the trajectory-dependent diagnostics
-// (Pruned, Surrogate*) vary, exactly as they already do across worker
-// counts.
+// list and any worker count. Only the trajectory-dependent Pruned counter
+// varies, exactly as it already does across worker counts.
 package fabric
 
 import (
@@ -195,7 +194,6 @@ func buildRequest(l *workload.Layer, a *arch.Arch, o *mapper.Options, fo *Option
 		Pow2Splits:      o.Pow2Splits,
 		NoSym:           o.NoReduce,
 		NoPrune:         o.NoPrune,
-		NoSurrogate:     o.NoSurrogate,
 		TimeoutMS:       fo.TimeoutMS,
 	}
 	if req.Arch == "" && req.ArchConfig == nil {

@@ -33,13 +33,10 @@ func quietServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// normalize zeroes the trajectory-dependent Stats diagnostics (worker- and
+// normalize zeroes the trajectory-dependent Pruned counter (worker- and
 // shard-placement-dependent; documented in mapper.Stats).
 func normalize(st mapper.Stats) mapper.Stats {
 	st.Pruned = 0
-	st.SurrogatePruned = 0
-	st.SurrogateReorders = 0
-	st.SurrogateRankCorr = 0
 	return st
 }
 

@@ -36,6 +36,16 @@ import (
 // about to finish would just hand back empty pieces.
 const minStealVisits = 256
 
+// A steal POST can overtake the shard request it targets, reaching the node
+// before the walk has registered its sid; the node then answers 404. While
+// the victim is still in flight here, a 404 almost always means "not
+// registered yet", so the POST is re-sent up to stealRetries times,
+// stealRetryDelay apart, until it lands or the victim completes.
+const (
+	stealRetries    = 20
+	stealRetryDelay = 5 * time.Millisecond
+)
+
 // workItem is one queued shard execution: the spec plus the exclusive
 // global visited position where its range ends (the next spec's
 // WalkedBefore, or the plan total), which prices the steal heuristic.
@@ -189,44 +199,70 @@ func (p *pool) maybeStealLocked() {
 		sp.End()
 		return
 	}
-	go p.postSteal(best.node, best.sid, best.item.posKey())
+	go p.postSteal(best, best.node)
 }
 
-// postSteal fires the remote stop request. Best effort by design: any
-// error just means the victim finishes its whole range.
-func (p *pool) postSteal(node, sid, victim string) {
-	body, err := json.Marshal(&StealRequest{Sid: sid})
+// inFlight reports whether r is still running (not yet booked by finish).
+func (p *pool) inFlight(r *runningShard) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, rr := range p.running {
+		if rr == r {
+			return true
+		}
+	}
+	return false
+}
+
+// postSteal fires the remote stop request for victim r on node. Best
+// effort by design: any error just means the victim finishes its whole
+// range. A 404 is retried while r is in flight (see stealRetries).
+func (p *pool) postSteal(r *runningShard, node string) {
+	body, err := json.Marshal(&StealRequest{Sid: r.sid})
 	if err != nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(p.ctx, 10*time.Second)
 	defer cancel()
+	victim := r.item.posKey()
 	sctx, sp := otrace.StartSpanKeyed(ctx, "steal.rpc", otrace.CatSteal, node+"#"+victim)
 	sp.SetAttr("node", node)
 	sp.SetAttr("victim", victim)
 	defer sp.End()
 	url := strings.TrimRight(node, "/") + "/v1/shard/steal"
-	hreq, err := http.NewRequestWithContext(sctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if p.fo.Tenant != "" {
-		hreq.Header.Set("X-Tenant", p.fo.Tenant)
-	}
-	otrace.Inject(sctx, hreq.Header)
 	client := p.fo.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		sp.SetAttr("outcome", "error")
-		return
+	for attempt := 0; ; attempt++ {
+		hreq, err := http.NewRequestWithContext(sctx, http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		hreq.Header.Set("Content-Type", "application/json")
+		if p.fo.Tenant != "" {
+			hreq.Header.Set("X-Tenant", p.fo.Tenant)
+		}
+		otrace.Inject(sctx, hreq.Header)
+		resp, err := client.Do(hreq)
+		if err != nil {
+			sp.SetAttr("outcome", "error")
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		sp.SetAttr("outcome", resp.Status)
+		if resp.StatusCode != http.StatusNotFound || attempt == stealRetries || !p.inFlight(r) {
+			return
+		}
+		t := time.NewTimer(stealRetryDelay)
+		select {
+		case <-t.C:
+		case <-sctx.Done():
+			t.Stop()
+			return
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	sp.SetAttr("outcome", resp.Status)
 }
 
 // exec runs one work item: locally under its ShardControl, or remotely with
@@ -249,6 +285,9 @@ func (p *pool) exec(r *runningShard, tid int) (*mapper.ShardOutcome, error) {
 		node := p.nodes[(r.item.idx+attempt)%len(p.nodes)]
 		p.mu.Lock()
 		r.node = node
+		// An executor that ran dry while r was not yet dispatched skipped
+		// it as a victim; wake it so it can reconsider.
+		p.cond.Broadcast()
 		p.mu.Unlock()
 		rctx, sp := otrace.StartSpanKeyed(p.ctx, "shard.rpc", otrace.CatRPC, node+"#"+r.item.posKey())
 		sp.SetTid(tid)

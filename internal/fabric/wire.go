@@ -30,7 +30,6 @@ type ShardRequest struct {
 	Pow2Splits      bool             `json:"pow2_splits,omitempty"`
 	NoSym           bool             `json:"nosym,omitempty"`
 	NoPrune         bool             `json:"noprune,omitempty"`
-	NoSurrogate     bool             `json:"nosurrogate,omitempty"`
 	TimeoutMS       int              `json:"timeout_ms,omitempty"`
 	Shard           mapper.ShardSpec `json:"shard"`
 	// Sid is the coordinator-chosen steal handle: when set, the node
@@ -61,21 +60,17 @@ func (r *ShardRequest) SearchOptions(sp loops.Nest, obj mapper.Objective) mapper
 		BWAware:         !r.BWUnaware,
 		NoReduce:        r.NoSym,
 		NoPrune:         r.NoPrune,
-		NoSurrogate:     r.NoSurrogate,
 	}
 }
 
 // ShardStatsJSON is mapper.Stats on the wire, all fields explicit.
 type ShardStatsJSON struct {
-	NestsGenerated    int     `json:"nests_generated"`
-	ClassesMerged     int     `json:"classes_merged"`
-	SubtreesPruned    int     `json:"subtrees_pruned"`
-	Valid             int     `json:"valid"`
-	Skipped           int     `json:"skipped"`
-	Pruned            int     `json:"pruned"`
-	SurrogateReorders int     `json:"surrogate_reorders"`
-	SurrogatePruned   int     `json:"surrogate_pruned"`
-	SurrogateRankCorr float64 `json:"surrogate_rank_corr"`
+	NestsGenerated int `json:"nests_generated"`
+	ClassesMerged  int `json:"classes_merged"`
+	SubtreesPruned int `json:"subtrees_pruned"`
+	Valid          int `json:"valid"`
+	Skipped        int `json:"skipped"`
+	Pruned         int `json:"pruned"`
 }
 
 // ShardResponse is the POST /v1/shard response: the shard's outcome with the
@@ -104,15 +99,12 @@ func EncodeOutcome(out *mapper.ShardOutcome) ShardResponse {
 	resp := ShardResponse{
 		Found: out.Found,
 		Stats: ShardStatsJSON{
-			NestsGenerated:    st.NestsGenerated,
-			ClassesMerged:     st.ClassesMerged,
-			SubtreesPruned:    st.SubtreesPruned,
-			Valid:             st.Valid,
-			Skipped:           st.Skipped,
-			Pruned:            st.Pruned,
-			SurrogateReorders: st.SurrogateReorders,
-			SurrogatePruned:   st.SurrogatePruned,
-			SurrogateRankCorr: st.SurrogateRankCorr,
+			NestsGenerated: st.NestsGenerated,
+			ClassesMerged:  st.ClassesMerged,
+			SubtreesPruned: st.SubtreesPruned,
+			Valid:          st.Valid,
+			Skipped:        st.Skipped,
+			Pruned:         st.Pruned,
 		},
 		Classes: out.Classes,
 		Spec:    out.Spec,
@@ -136,15 +128,12 @@ func (r *ShardResponse) Outcome() (*mapper.ShardOutcome, error) {
 		Found: r.Found,
 		Seq:   r.Seq,
 		Stats: mapper.Stats{
-			NestsGenerated:    r.Stats.NestsGenerated,
-			ClassesMerged:     r.Stats.ClassesMerged,
-			SubtreesPruned:    r.Stats.SubtreesPruned,
-			Valid:             r.Stats.Valid,
-			Skipped:           r.Stats.Skipped,
-			Pruned:            r.Stats.Pruned,
-			SurrogateReorders: r.Stats.SurrogateReorders,
-			SurrogatePruned:   r.Stats.SurrogatePruned,
-			SurrogateRankCorr: r.Stats.SurrogateRankCorr,
+			NestsGenerated: r.Stats.NestsGenerated,
+			ClassesMerged:  r.Stats.ClassesMerged,
+			SubtreesPruned: r.Stats.SubtreesPruned,
+			Valid:          r.Stats.Valid,
+			Skipped:        r.Stats.Skipped,
+			Pruned:         r.Stats.Pruned,
 		},
 		Classes: r.Classes,
 		Spec:    r.Spec,

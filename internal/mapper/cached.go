@@ -8,13 +8,11 @@ package mapper
 // points of a DSE sweep, across annealing restarts, and (optionally, via the
 // on-disk store) across CLI invocations.
 //
-// Five option fields are deliberately EXCLUDED from the key: Workers,
-// NoPrune, NoReduce, NoSurrogate and Hooks. None of them can change the
-// selected mapping or its score — Workers, NoPrune and NoSurrogate only
-// steer scheduling (the surrogate orders the stream, it never scores it:
-// DESIGN.md §12), the symmetry reduction is exact (DESIGN.md §9), and
-// telemetry hooks only observe — so keying on them would only split
-// identical results across entries. The
+// Four option fields are deliberately EXCLUDED from the key: Workers,
+// NoPrune, NoReduce and Hooks. None of them can change the selected mapping
+// or its score — Workers and NoPrune only steer scheduling, the symmetry
+// reduction is exact (DESIGN.md §9), and telemetry hooks only observe — so
+// keying on them would only split identical results across entries. The
 // Stats counters DO depend on NoReduce (a reduced run walks classes, a full
 // run walks orderings): like Pruned already did, a cached result reports the
 // counters of whichever run populated the cache. Hook coalescing caveat:
@@ -46,9 +44,10 @@ import (
 //
 // Version history: 1 = PR 2 (initial disk cache); 2 = symmetry-reduced
 // enumeration (Stats gained ClassesMerged/SubtreesPruned, cap and Skipped
-// semantics changed to the walk budget); 3 = surrogate-guided search (Stats
-// gained SurrogateReorders/SurrogatePruned/SurrogateRankCorr).
-const diskFormatVersion = 3
+// semantics changed to the walk budget); 3 = learned candidate ordering
+// (Stats gained three ordering diagnostics); 4 = learned ordering deleted
+// (Stats lost those three fields again).
+const diskFormatVersion = 4
 
 // DiskVersion returns the current on-disk/wire payload format version.
 // Remote blob tiers embed it in their protocol so that nodes running
@@ -116,15 +115,10 @@ func getStore() memo.Store {
 }
 
 // searchResult is the cached value of one Best search. cand is nil when the
-// search completed but found no valid mapping. layer and a record the
-// problem the result was computed for (the layer by value — the caller's
-// may be reused), so HarvestSamples can rebuild the winning mapping's
-// surrogate features without re-running anything.
+// search completed but found no valid mapping.
 type searchResult struct {
 	cand  *Candidate
 	stats Stats
-	layer workload.Layer
-	a     *arch.Arch
 }
 
 // bestKey fingerprints everything a Best search's result depends on.
@@ -173,7 +167,7 @@ func decodeSearch(l *workload.Layer, a *arch.Arch, o *Options, blob []byte) *sea
 	if c == nil {
 		return nil
 	}
-	return &searchResult{cand: c, stats: ds.Stats, layer: *l, a: a}
+	return &searchResult{cand: c, stats: ds.Stats}
 }
 
 // BestCached is Best behind the process-wide memo cache: the first call for
@@ -233,7 +227,7 @@ func BestCachedVia(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Op
 		if err != nil {
 			return nil, err
 		}
-		res := &searchResult{cand: best, stats: *stats, layer: *l, a: a}
+		res := &searchResult{cand: best, stats: *stats}
 		if best != nil {
 			if s := getStore(); s != nil {
 				if blob := encodeSearch(best, stats); blob != nil {
@@ -317,7 +311,7 @@ func AnnealCached(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Ann
 				s.Put(ctx, k, blob)
 			}
 		}
-		return &searchResult{cand: c, layer: *l, a: a}, nil
+		return &searchResult{cand: c}, nil
 	})
 	if err != nil {
 		return nil, err

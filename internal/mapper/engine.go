@@ -44,7 +44,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/surrogate"
 	"repro/internal/workload"
 )
 
@@ -64,28 +63,10 @@ type scored struct {
 	seq   int64  // generation index, the final tie-break
 }
 
-// Boundary-precomputation state of a job. The guided producer already runs
-// the greedy boundary assignment on every candidate (the feature vector needs
-// the level contents), so it ships the result along: the workers reuse the
-// bounds instead of recomputing them, and the guided order pays for the
-// assignment ONCE per candidate — exactly like the canonical order.
-// assignBoundsIn is deterministic in (nest, layer, chains), so a reused
-// result is bit-identical to a recomputed one.
-const (
-	boundsUnknown uint8 = iota // not precomputed: the worker assigns bounds itself
-	boundsFailed               // precomputed and failed: the nest can never validate
-	boundsReady                // precomputed: bnd holds the per-operand boundaries
-)
-
-// job is one nest to evaluate, tagged with its generation index and — under
-// the guided order — the surrogate prediction that positioned it (NaN when
-// the guided order is inactive) plus the producer's boundary assignment.
+// job is one nest to evaluate, tagged with its generation index.
 type job struct {
-	seq    int64
-	pred   float64
-	nest   loops.Nest
-	bstate uint8
-	bnd    [loops.NumOperands][]int // boundsReady only; read-only for workers
+	seq  int64
+	nest loops.Nest
 }
 
 // batchSize amortizes channel traffic: the generator ships nests to the
@@ -115,21 +96,9 @@ type engine struct {
 	// best, so the emitted nest stream — and every exact Stats counter —
 	// is independent of worker count and of NoPrune.
 	genPrune bool
-	// guided enables the surrogate-guided best-first order (DESIGN.md §12):
-	// the canonical walk runs unchanged — every generation-side counter is
-	// identical — but the emitted representatives are collected, sorted by
-	// surrogate prediction and only then streamed to the workers, carrying
-	// their original walk seq so the (score, seq) tie-break is untouched.
-	// Active only where the workers' prune can cash the better order in.
-	guided bool
 	// bestBits is Float64bits of the best score seen by any worker; it
 	// only decreases. Read by workers for the prune decision.
 	bestBits atomic.Uint64
-	// nworkers is the decided evaluation-lane count. The guided producer's
-	// prediction pass reuses it as its parallelism: while the producer
-	// collects, those lanes sit blocked on an empty channel, so the budget
-	// the search acquired is exactly the budget the pass may spend.
-	nworkers int
 
 	// shard restricts the walk to one contiguous prefix range of the
 	// canonical enumeration (shard.go), or replays the walk arithmetically
@@ -172,7 +141,6 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 	e := &engine{ctx: ctx, l: l, a: a, o: o, mode: mode, shard: sh}
 	e.prune = mode == modeBest && !o.NoPrune && o.Objective == MinLatency && o.BWAware
 	e.genPrune = mode == modeBest && o.Objective == MinLatency
-	e.guided = e.prune && !o.NoSurrogate
 	e.collectSeqs = sh != nil && !o.NoReduce
 	e.bestBits.Store(math.Float64bits(math.Inf(1)))
 	stats := &Stats{}
@@ -199,32 +167,17 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 			par.Release()
 		}
 	}()
-	e.nworkers = workers
 
 	ws := make([]*worker, workers)
 	for i := range ws {
 		ws[i] = newWorker(e)
 	}
 
-	// produce runs the generator and hands each candidate to consume: in the
-	// canonical walk order by default, or — under the guided order — sorted
-	// best-predicted-first with the walk seq and the producer's boundary
-	// assignment carried through (guided.go).
-	produce := func(consume func(j job)) {
-		if e.guided {
-			e.generateGuided(stats, consume)
-		} else {
-			e.generate(stats, func(seq int64, nest loops.Nest) {
-				consume(job{seq: seq, pred: math.NaN(), nest: nest, bstate: boundsUnknown})
-			})
-		}
-	}
-
 	if workers == 1 {
 		// Serial fast path: evaluate on the caller's goroutine, straight off
-		// the producer's shared nest buffer.
-		produce(func(j job) {
-			ws[0].process(j)
+		// the generator's shared nest buffer.
+		e.generate(stats, func(seq int64, nest loops.Nest) {
+			ws[0].process(job{seq: seq, nest: nest})
 		})
 	} else {
 		ch := make(chan *jobBatch, workers)
@@ -254,25 +207,20 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 				}
 				cur = nil
 			}
-			produce(func(j job) {
+			e.generate(stats, func(seq int64, nest loops.Nest) {
 				if cur == nil {
 					cur = batchPool.Get().(*jobBatch)
 					cur.jobs = cur.jobs[:0]
 					cur.slab = cur.slab[:0]
 				}
-				// The canonical generator emits nests from a shared buffer it
+				// The generator emits nests from a shared buffer it
 				// overwrites on the next emit, so they are copied into the
 				// batch slab (a slab regrow leaves earlier jobs pointing into
 				// the old array, which stays valid — the slices are
-				// read-only). The guided producer streams from its own
-				// collection slab, immutable once streaming starts, so its
-				// nests — like its bnd slices — cross the channel as-is.
-				if !e.guided {
-					start := len(cur.slab)
-					cur.slab = append(cur.slab, j.nest...)
-					j.nest = loops.Nest(cur.slab[start:len(cur.slab):len(cur.slab)])
-				}
-				cur.jobs = append(cur.jobs, j)
+				// read-only).
+				start := len(cur.slab)
+				cur.slab = append(cur.slab, nest...)
+				cur.jobs = append(cur.jobs, job{seq: seq, nest: loops.Nest(cur.slab[start:len(cur.slab):len(cur.slab)])})
 				if len(cur.jobs) == batchSize {
 					flush()
 				}
@@ -288,7 +236,6 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 	var best *Candidate
 	bestScore, bestSeq := math.Inf(1), int64(math.MaxInt64)
 	var all []scored
-	var preds, exacts []float64
 	for _, w := range ws {
 		stats.Valid += w.valid
 		stats.Pruned += w.pruned
@@ -296,16 +243,7 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 			best, bestScore, bestSeq = w.best, w.bestScore, w.bestSeq
 		}
 		all = append(all, w.all...)
-		preds = append(preds, w.preds...)
-		exacts = append(exacts, w.exacts...)
 		w.release()
-	}
-	if e.guided {
-		// Guided-order diagnostics: how much of the stream the reordering
-		// let the bound kill, and how faithfully the surrogate tracked the
-		// exact order over the candidates that were fully scored.
-		stats.SurrogatePruned = stats.Pruned
-		stats.SurrogateRankCorr = surrogate.Spearman(preds, exacts)
 	}
 	// A cancellation observed anywhere in the pipeline invalidates the
 	// partial reduction: report the context's verdict, not a half-searched
@@ -740,11 +678,10 @@ type workerScratch struct {
 	// slot owns a Mapping with its own boundary storage so the surviving
 	// nests of a batch can be validated first and then scored in one
 	// core.Evaluator.ScoreBatch pass over the shared memo layers.
-	slots  [batchSize]batchSlot
-	probs  []*core.Problem
-	seqs   []int64
-	bpreds []float64
-	outs   []float64
+	slots [batchSize]batchSlot
+	probs []*core.Problem
+	seqs  []int64
+	outs  []float64
 }
 
 // batchSlot is one lane of the batched-scoring slab.
@@ -774,12 +711,6 @@ type worker struct {
 	bestSeq   int64
 
 	all []scored // modeAll only
-
-	// Guided-order diagnostics: (prediction, exact score) of every fully
-	// evaluated candidate, merged by the reducer into the Spearman rank
-	// correlation. Only populated while the guided order is active.
-	preds  []float64
-	exacts []float64
 
 	// vseqs records the walk seq of every candidate counted in valid, for
 	// the shard epilogue's class-validity tagging (engine.collectSeqs only).
@@ -866,7 +797,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 	s := w.s
 	s.probs = s.probs[:0]
 	s.seqs = s.seqs[:0]
-	s.bpreds = s.bpreds[:0]
 	for i := range bt.jobs {
 		j := &bt.jobs[i]
 		if e.aborted.Load() {
@@ -882,15 +812,8 @@ func (w *worker) processBatch(bt *jobBatch) {
 			slot.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &slot.m}
 		}
 		slot.m.Temporal = j.nest
-		switch j.bstate {
-		case boundsFailed:
+		if !assignBoundsIn(&slot.m, e.l, &s.chains, &slot.store) {
 			continue
-		case boundsReady:
-			slot.m.Bound = j.bnd
-		default:
-			if !assignBoundsIn(&slot.m, e.l, &s.chains, &slot.store) {
-				continue
-			}
 		}
 		if slot.m.Validate(e.l, e.a) != nil {
 			continue
@@ -913,7 +836,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 		}
 		s.probs = append(s.probs, &slot.prob)
 		s.seqs = append(s.seqs, j.seq)
-		s.bpreds = append(s.bpreds, j.pred)
 	}
 	if len(s.probs) == 0 {
 		return
@@ -928,10 +850,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 	for i, score := range outs {
 		if math.IsNaN(score) {
 			continue
-		}
-		if e.guided && !math.IsNaN(s.bpreds[i]) {
-			w.preds = append(w.preds, s.bpreds[i])
-			w.exacts = append(w.exacts, score)
 		}
 		seq := s.seqs[i]
 		if w.better(score, seq) {
@@ -954,17 +872,10 @@ func (w *worker) processBatch(bt *jobBatch) {
 func (w *worker) process(j job) {
 	e := w.e
 	o := e.o
-	seq, pred, nest := j.seq, j.pred, j.nest
+	seq, nest := j.seq, j.nest
 	w.m.Temporal = nest
-	switch j.bstate {
-	case boundsFailed:
+	if !assignBoundsIn(&w.m, e.l, &w.s.chains, &w.s.store) {
 		return
-	case boundsReady:
-		w.m.Bound = j.bnd
-	default:
-		if !assignBoundsIn(&w.m, e.l, &w.s.chains, &w.s.store) {
-			return
-		}
 	}
 	if w.m.Validate(e.l, e.a) != nil {
 		return
@@ -1024,10 +935,6 @@ func (w *worker) process(j job) {
 			return
 		}
 		score = s
-		if e.guided && !math.IsNaN(pred) {
-			w.preds = append(w.preds, pred)
-			w.exacts = append(w.exacts, score)
-		}
 	} else {
 		// The baseline model's CC_total IS the lower bound expression.
 		score = w.s.ev.LowerBound(&w.prob)

@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -56,7 +57,10 @@ func equivCases() []equivCase {
 
 // TestParallelMatchesSerial is the engine's central contract: for any
 // worker count, with and without pruning, Best returns a bit-identical
-// score, the same mapping, and the same exact statistics as a serial run.
+// score, the same mapping, and the same exact statistics as a serial run —
+// the whole Stats struct, with only the trajectory-dependent Pruned zeroed.
+// Run under -race this also exercises the batch stream against the worker
+// pool.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,6 +78,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				{"serial-pruned", 1, false, false},
 				{"parallel-2", 2, false, false},
 				{"parallel-4", 4, false, false},
+				{"parallel-8", 8, false, false},
 				{"parallel-4-noprune", 4, true, false},
 				// The symmetry reduction is exact, so disabling it must not
 				// move the result either; its stats differ by construction
@@ -105,12 +110,66 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if cfg.noReduce {
 					continue
 				}
-				if stats.NestsGenerated != refStats.NestsGenerated ||
-					stats.Valid != refStats.Valid ||
-					stats.Skipped != refStats.Skipped {
-					t.Errorf("%s: stats {gen %d valid %d skip %d}, want {gen %d valid %d skip %d}",
-						cfg.label, stats.NestsGenerated, stats.Valid, stats.Skipped,
-						refStats.NestsGenerated, refStats.Valid, refStats.Skipped)
+				gotStats, wantStats := *stats, *refStats
+				gotStats.Pruned, wantStats.Pruned = 0, 0
+				if gotStats != wantStats {
+					t.Errorf("%s: stats %+v, want %+v", cfg.label, gotStats, wantStats)
+				}
+			}
+		})
+	}
+}
+
+// TestGuidedMatchesUnguided pins the contract the surrogate-guided ordering
+// (since deleted) was held to, and which the one remaining canonical walk
+// must keep: for every configuration and worker count, Best's pruned,
+// batched walk returns the exhaustive ranking's winner — the same score
+// bits as Enumerate's first candidate and a temporal nest from its
+// equal-score head — and the same Stats for every worker count, with only
+// the trajectory-dependent Pruned zeroed.
+func TestGuidedMatchesUnguided(t *testing.T) {
+	for _, tc := range equivCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			all, _, allErr := Enumerate(context.Background(), &tc.l, tc.a, &tc.o)
+			ser := tc.o
+			ser.Workers = 1
+			_, refStats, refErr := Best(context.Background(), &tc.l, tc.a, &ser)
+			if (allErr == nil) != (refErr == nil) {
+				t.Fatalf("Best err = %v, Enumerate err = %v", refErr, allErr)
+			}
+			if refErr != nil {
+				return
+			}
+			if len(all) == 0 {
+				t.Fatal("Enumerate found no candidate where Best found one")
+			}
+			want := math.Float64bits(all[0].Score(tc.o.Objective))
+			head := map[string]bool{}
+			for _, c := range all {
+				if math.Float64bits(c.Score(tc.o.Objective)) != want {
+					break
+				}
+				head[c.Mapping.Temporal.String()] = true
+			}
+
+			for _, workers := range []int{1, 3, 8} {
+				o := tc.o
+				o.Workers = workers
+				cand, stats, err := Best(context.Background(), &tc.l, tc.a, &o)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := math.Float64bits(cand.Score(tc.o.Objective)); got != want {
+					t.Errorf("workers=%d: score bits %x, want %x (Best %v vs Enumerate %v)",
+						workers, got, want, cand.Score(tc.o.Objective), all[0].Score(tc.o.Objective))
+				}
+				if m := cand.Mapping.Temporal.String(); !head[m] {
+					t.Errorf("workers=%d: mapping %s is not among Enumerate's %d best", workers, m, len(head))
+				}
+				gotStats, wantStats := *stats, *refStats
+				gotStats.Pruned, wantStats.Pruned = 0, 0
+				if gotStats != wantStats {
+					t.Errorf("workers=%d: stats %+v, want %+v", workers, gotStats, wantStats)
 				}
 			}
 		})

@@ -80,17 +80,6 @@ type Options struct {
 	// for cross-checking and measurement (-nosym in the cmds). The
 	// Stats counters change meaning with it — see Stats.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering
-	// (DESIGN.md §12): the evaluation stream reaches the workers in the
-	// canonical walk order instead of best-predicted-first. The selected
-	// mapping and every exact Stats counter are bit-identical either way —
-	// the surrogate only ORDERS work, the exact model still scores every
-	// surviving candidate, and the walk sequence number carried through the
-	// reordered stream preserves the deterministic tie-break — so like
-	// Workers/NoPrune/NoReduce the knob is excluded from memo keys and
-	// exists for measurement (-nosurrogate in the cmds). Only the
-	// trajectory-dependent counters (Pruned, Surrogate*) move with it.
-	NoSurrogate bool
 	// Hooks receives search telemetry (phase timings, periodic progress
 	// snapshots, best-score improvements). Nil — the default — disables
 	// telemetry at the cost of one pointer check per event site; with
@@ -160,23 +149,6 @@ type Stats struct {
 	// Pruned counts full evaluations skipped by the workers' lower bound
 	// (informational; trajectory-dependent).
 	Pruned int
-	// SurrogateReorders counts candidates the surrogate-guided order moved
-	// away from their canonical walk position (0 when the guided order is
-	// inactive: NoSurrogate, enumeration, energy objectives, NoPrune or the
-	// baseline model). Deterministic: the prediction is a pure function of
-	// the candidate.
-	SurrogateReorders int
-	// SurrogatePruned counts full evaluations the workers' lower bound
-	// skipped while the guided order was active — the "pruned before eval"
-	// share the reordering bought (informational; trajectory-dependent,
-	// like Pruned).
-	SurrogatePruned int
-	// SurrogateRankCorr is the Spearman rank correlation between the
-	// surrogate's predictions and the exact scores over the fully evaluated
-	// candidates — how well the learned order tracked the true one (0 when
-	// guided order is inactive or fewer than two candidates were scored;
-	// informational; trajectory-dependent).
-	SurrogateRankCorr float64
 }
 
 // Best searches the space and returns the best candidate by the objective,

@@ -564,9 +564,8 @@ func BestShardControlled(ctx context.Context, l *workload.Layer, a *arch.Arch, o
 // NestsGenerated, the smallest-seq representative per class carries Valid,
 // and the per-shard visit counts recover ClassesMerged. Skipped and
 // SubtreesPruned are exactly attributed per shard and sum directly. The
-// trajectory-dependent diagnostics (Pruned, Surrogate*) are summed (rank
-// correlation: valid-weighted mean) and may differ from a single-engine run,
-// exactly as they already differ across worker counts.
+// trajectory-dependent Pruned counter is summed and may differ from a
+// single-engine run, exactly as it already differs across worker counts.
 //
 // A merge with no winner returns (nil, stats, nil), mirroring runSearch;
 // front ends turn that into the canonical no-valid-mapping error.
@@ -592,8 +591,6 @@ func MergeShards(l *workload.Layer, a *arch.Arch, opt *Options, outs []*ShardOut
 		stats.Skipped += st.Skipped
 		stats.SubtreesPruned += st.SubtreesPruned
 		stats.Pruned += st.Pruned
-		stats.SurrogatePruned += st.SurrogatePruned
-		stats.SurrogateReorders += st.SurrogateReorders
 		if !reduce {
 			stats.NestsGenerated += st.NestsGenerated
 			stats.Valid += st.Valid
@@ -618,17 +615,6 @@ func MergeShards(l *workload.Layer, a *arch.Arch, opt *Options, outs []*ShardOut
 			}
 		}
 	}
-	var corrW, corrAcc float64
-	for _, out := range outs {
-		if w := float64(out.Stats.Valid); w > 0 {
-			corrAcc += w * out.Stats.SurrogateRankCorr
-			corrW += w
-		}
-	}
-	if corrW > 0 {
-		stats.SurrogateRankCorr = corrAcc / corrW
-	}
-
 	mergeFP := bestKey(l, a, &o).Hash
 	var best *Candidate
 	bestScore, bestSeq := math.Inf(1), int64(math.MaxInt64)

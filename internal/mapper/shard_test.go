@@ -9,15 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// normalizeStats zeroes the trajectory-dependent diagnostics. Pruned and the
-// surrogate counters depend on which candidates each worker/shard happened to
-// evaluate first (documented in Stats); only the exact counters are part of
-// the sharding determinism contract.
+// normalizeStats zeroes the trajectory-dependent Pruned counter: it depends
+// on which candidates each worker/shard happened to evaluate first
+// (documented in Stats); only the exact counters are part of the sharding
+// determinism contract.
 func normalizeStats(st Stats) Stats {
 	st.Pruned = 0
-	st.SurrogatePruned = 0
-	st.SurrogateReorders = 0
-	st.SurrogateRankCorr = 0
 	return st
 }
 
@@ -312,9 +309,9 @@ func TestBestShardValidation(t *testing.T) {
 		{Depth: 99, Lo: 0, Hi: 1},
 		{Depth: 3, Lo: 2, Hi: 1},
 		{Depth: 3, Lo: -1, Hi: 1},
-		{Depth: 3, Lo: 1, Hi: 1, PermLo: 5, PermHi: 2},          // inverted sub-range
-		{Depth: 3, Lo: 0, Hi: 1, PermLo: -1},                    // negative offset
-		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},    // walked < perm offset
+		{Depth: 3, Lo: 1, Hi: 1, PermLo: 5, PermHi: 2},                           // inverted sub-range
+		{Depth: 3, Lo: 0, Hi: 1, PermLo: -1},                                     // negative offset
+		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},                     // walked < perm offset
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 1, WalkedBefore: 5, CappedBefore: true}, // capped at a visited position
 	} {
 		if _, err := BestShard(context.Background(), &mm, arch.InHouse(), &opt, spec); err == nil {
@@ -323,7 +320,7 @@ func TestBestShardValidation(t *testing.T) {
 	}
 }
 
-/// TestPlanShardsCanceled: a canceled context aborts planning.
+// / TestPlanShardsCanceled: a canceled context aborts planning.
 func TestPlanShardsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -243,42 +243,6 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func(ctx context.Context)
 	}
 }
 
-// Range calls fn for every COMPLETED, non-error entry resident in the cache
-// and stops early when fn returns false. In-flight computations are skipped,
-// never waited on — Range holds no lock while fn runs, so fn may itself use
-// the cache. The iteration order is unspecified, and entries inserted or
-// evicted concurrently may or may not be observed (the usual weakly
-// consistent map-iteration contract). Values passed to fn are the shared
-// cached values: fn must treat them as immutable.
-//
-// This is the harvesting hook for consumers that learn from the cache's
-// accumulated results — e.g. mapper.HarvestSamples, which turns memoized
-// exact search results into surrogate-model training samples.
-func (c *Cache) Range(fn func(val any) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		entries := make([]*entry, 0, len(s.m))
-		for _, e := range s.m {
-			entries = append(entries, e)
-		}
-		s.mu.Unlock()
-		for _, e := range entries {
-			select {
-			case <-e.done:
-			default:
-				continue // in flight: no value yet
-			}
-			if e.err != nil || e.transient {
-				continue
-			}
-			if !fn(e.val) {
-				return
-			}
-		}
-	}
-}
-
 // isContextErr reports whether err is a cancellation/deadline outcome that
 // must not be cached.
 func isContextErr(err error) bool {

@@ -79,10 +79,6 @@ type Options struct {
 	// per-layer searches (mapper.Options.NoReduce). Results are identical
 	// either way; this is the escape hatch for timing the full walk.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering in the
-	// per-layer searches (mapper.Options.NoSurrogate). Results are
-	// identical either way; only the guided prune rate changes.
-	NoSurrogate bool
 	// SpillBWBits is the off-chip bandwidth used to price intermediate
 	// tensors that do not fit on chip (default: the GB write port BW / 4,
 	// a DRAM-ish derating).
@@ -222,7 +218,6 @@ func Evaluate(ctx context.Context, n *Network, hw *arch.Arch, spatial loops.Nest
 			Objective:     obj,
 			MaxCandidates: maxCand,
 			NoReduce:      opt.NoReduce,
-			NoSurrogate:   opt.NoSurrogate,
 		}, opt.Run)
 		if err != nil {
 			layerErr[i] = fmt.Errorf("network %q layer %s: %w", n.Name, orig.Name, err)

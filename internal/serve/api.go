@@ -33,12 +33,16 @@ import (
 // maxBodyBytes bounds request bodies (inline arch configs are a few KiB).
 const maxBodyBytes = 1 << 20
 
-// decodeBody strictly decodes the JSON request body into v.
+// decodeBody strictly decodes the JSON request body into v: unknown fields
+// and anything but whitespace after the one JSON value are rejected.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad request body: trailing data after the JSON value")
 	}
 	return nil
 }
@@ -236,9 +240,6 @@ type SearchRequest struct {
 	BWUnaware  bool   `json:"bw_unaware,omitempty"`
 	Pow2Splits bool   `json:"pow2_splits,omitempty"`
 	NoSym      bool   `json:"nosym,omitempty"`
-	// NoSurrogate disables the surrogate-guided candidate ordering
-	// (results identical either way).
-	NoSurrogate bool `json:"nosurrogate,omitempty"`
 	// Shards fans the exhaustive search out over K deterministic subtree
 	// shards, executed on the server's configured peers (or in-process
 	// without peers). Results are bit-identical to the unsharded search for
@@ -323,15 +324,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var steals atomic.Int64
 	if req.Anneal {
 		cand, err = mapper.AnnealCached(ctx, &l, hw, &mapper.AnnealOptions{
-			Spatial:     sp,
-			Iterations:  req.Iterations,
-			Restarts:    req.Restarts,
-			Seed:        req.Seed,
-			Objective:   obj,
-			BWAware:     !req.BWUnaware,
-			NoReduce:    req.NoSym,
-			NoSurrogate: req.NoSurrogate,
-			Hooks:       hooks,
+			Spatial:    sp,
+			Iterations: req.Iterations,
+			Restarts:   req.Restarts,
+			Seed:       req.Seed,
+			Objective:  obj,
+			BWAware:    !req.BWUnaware,
+			NoReduce:   req.NoSym,
+			Hooks:      hooks,
 		})
 	} else {
 		opt := &mapper.Options{
@@ -341,7 +341,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Objective:     obj,
 			BWAware:       !req.BWUnaware,
 			NoReduce:      req.NoSym,
-			NoSurrogate:   req.NoSurrogate,
 			Hooks:         hooks,
 		}
 		var run mapper.SearchFunc
@@ -388,12 +387,11 @@ type NetworkRequest struct {
 	// from a preset plus overrides instead of a bundled suite.
 	Transformer *transformer.Spec `json:"transformer_block,omitempty"`
 	// Budget is the per-layer search budget (default 6000).
-	Budget      int    `json:"budget,omitempty"`
-	Objective   string `json:"objective,omitempty"`
-	NoPrefetch  bool   `json:"no_prefetch,omitempty"`
-	NoSym       bool   `json:"nosym,omitempty"`
-	NoSurrogate bool   `json:"nosurrogate,omitempty"`
-	PlanGB      bool   `json:"plan_gb,omitempty"`
+	Budget     int    `json:"budget,omitempty"`
+	Objective  string `json:"objective,omitempty"`
+	NoPrefetch bool   `json:"no_prefetch,omitempty"`
+	NoSym      bool   `json:"nosym,omitempty"`
+	PlanGB     bool   `json:"plan_gb,omitempty"`
 	// Shards fans every cold per-layer mapping search out over K
 	// deterministic subtree shards on the server's configured peers (the
 	// same fabric /v1/shard uses). Results are bit-identical for any K.
@@ -556,7 +554,6 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		Objective:     obj,
 		NoPrefetch:    req.NoPrefetch,
 		NoReduce:      req.NoSym,
-		NoSurrogate:   req.NoSurrogate,
 		PlanGB:        req.PlanGB,
 		Run:           run,
 	})

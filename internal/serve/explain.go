@@ -24,12 +24,11 @@ type ExplainRequest struct {
 	Layer config.Layer `json:"layer"`
 	// Mapping explains the given mapping; when omitted, a search finds the
 	// best one first (budget/objective as in /v1/search).
-	Mapping     *config.Mapping `json:"mapping,omitempty"`
-	Budget      int             `json:"budget,omitempty"`
-	Objective   string          `json:"objective,omitempty"`
-	Pow2Splits  bool            `json:"pow2_splits,omitempty"`
-	NoSym       bool            `json:"nosym,omitempty"`
-	NoSurrogate bool            `json:"nosurrogate,omitempty"`
+	Mapping    *config.Mapping `json:"mapping,omitempty"`
+	Budget     int             `json:"budget,omitempty"`
+	Objective  string          `json:"objective,omitempty"`
+	Pow2Splits bool            `json:"pow2_splits,omitempty"`
+	NoSym      bool            `json:"nosym,omitempty"`
 	// IncludeTrace embeds the Chrome/Perfetto trace-event file in the
 	// response; TracePeriods caps slices per endpoint (default 64).
 	IncludeTrace bool `json:"include_trace,omitempty"`
@@ -101,7 +100,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Objective:     obj,
 			BWAware:       true,
 			NoReduce:      req.NoSym,
-			NoSurrogate:   req.NoSurrogate,
 		})
 		if err != nil {
 			writeError(w, s.errorStatus(r, err), err.Error())

@@ -152,19 +152,7 @@ type searchCounters struct {
 	skipped  counter
 	bbPruned counter
 	walked   counter
-	// Surrogate-guided search telemetry (mapper.Stats.Surrogate*):
-	// candidates the learned order moved, bound-prunes under that order,
-	// and the rank correlation of the last finished guided search.
-	surReorders counter
-	surPruned   counter
-	surRankCorr fgauge
 }
-
-// fgauge is a settable float64 level (atomic via its bit pattern).
-type fgauge struct{ bits atomic.Uint64 }
-
-func (g *fgauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-func (g *fgauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // metrics is the service-wide registry. Endpoints are registered once at
 // server construction, so the map is read-only afterwards and needs no lock.
@@ -379,18 +367,6 @@ func (m *metrics) write(w io.Writer, memo memoSnapshot, adm admissionSnapshot, s
 		fmt.Fprintf(w, "servemodel_search_phase_seconds_count{phase=%q} %d\n", ph, h.count.Load())
 	}
 
-	fmt.Fprintf(w, "# HELP servemodel_search_surrogate_pruned_total Exact evaluations skipped by the lower bound under the surrogate-guided candidate order.\n")
-	fmt.Fprintf(w, "# TYPE servemodel_search_surrogate_pruned_total counter\n")
-	fmt.Fprintf(w, "servemodel_search_surrogate_pruned_total %d\n", m.search.surPruned.Load())
-
-	fmt.Fprintf(w, "# HELP servemodel_search_surrogate_rank_correlation Spearman correlation of surrogate predictions against exact scores in the last guided search.\n")
-	fmt.Fprintf(w, "# TYPE servemodel_search_surrogate_rank_correlation gauge\n")
-	fmt.Fprintf(w, "servemodel_search_surrogate_rank_correlation %s\n", fmtFloat(m.search.surRankCorr.Load()))
-
-	fmt.Fprintf(w, "# HELP servemodel_search_surrogate_reorders_total Candidates the surrogate-guided order streamed out of canonical walk position.\n")
-	fmt.Fprintf(w, "# TYPE servemodel_search_surrogate_reorders_total counter\n")
-	fmt.Fprintf(w, "servemodel_search_surrogate_reorders_total %d\n", m.search.surReorders.Load())
-
 	fmt.Fprintf(w, "# HELP servemodel_search_walked_total Nest orderings walked (generated plus merged) across all served searches.\n")
 	fmt.Fprintf(w, "# TYPE servemodel_search_walked_total counter\n")
 	fmt.Fprintf(w, "servemodel_search_walked_total %d\n", m.search.walked.Load())
@@ -400,11 +376,7 @@ func (m *metrics) write(w io.Writer, memo memoSnapshot, adm admissionSnapshot, s
 	fmt.Fprintf(w, "servemodel_uptime_seconds %s\n", fmtFloat(time.Since(m.start).Seconds()))
 }
 
-// noteStats folds one finished search's statistics into the totals. The
-// rank-correlation gauge tracks the LAST guided search (a correlation is not
-// meaningfully summable); unguided searches leave it untouched, recognized
-// by SurrogateRankCorr == 0 — a guided search over >= 2 scored candidates
-// essentially never lands on exactly 0.
+// noteStats folds one finished search's statistics into the totals.
 func (m *metrics) noteStats(st *mapper.Stats) {
 	m.search.searches.Add(1)
 	m.search.nests.Add(int64(st.NestsGenerated))
@@ -414,9 +386,4 @@ func (m *metrics) noteStats(st *mapper.Stats) {
 	m.search.skipped.Add(int64(st.Skipped))
 	m.search.bbPruned.Add(int64(st.Pruned))
 	m.search.walked.Add(int64(st.NestsGenerated + st.ClassesMerged))
-	m.search.surReorders.Add(int64(st.SurrogateReorders))
-	m.search.surPruned.Add(int64(st.SurrogatePruned))
-	if st.SurrogateRankCorr != 0 {
-		m.search.surRankCorr.Set(st.SurrogateRankCorr)
-	}
 }

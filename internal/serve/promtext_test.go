@@ -352,19 +352,6 @@ func TestMetricsStrictFormat(t *testing.T) {
 	if got := samples["servemodel_search_live"]; len(got) != 1 || got[0].value != 0 {
 		t.Errorf("search_live = %+v, want one zero sample (no search in flight)", got)
 	}
-	// The small search runs guided (latency objective, bandwidth-aware), so
-	// the surrogate families must exist and the per-search diagnostics must
-	// have landed: a live rank correlation and a non-negative prune count.
-	if got := samples["servemodel_search_surrogate_pruned_total"]; len(got) != 1 || got[0].value < 0 {
-		t.Errorf("search_surrogate_pruned_total = %+v, want one non-negative sample", got)
-	}
-	if got := samples["servemodel_search_surrogate_reorders_total"]; len(got) != 1 || got[0].value <= 0 {
-		t.Errorf("search_surrogate_reorders_total = %+v, want one positive sample", got)
-	}
-	if got := samples["servemodel_search_surrogate_rank_correlation"]; len(got) != 1 ||
-		got[0].value < -1 || got[0].value > 1 || got[0].value == 0 {
-		t.Errorf("search_surrogate_rank_correlation = %+v, want one sample in [-1,1] excluding 0", got)
-	}
 	for _, fam := range []string{
 		"servemodel_request_seconds", "servemodel_requests_total",
 		"servemodel_mapper_searches_total", "servemodel_memo_hits_total",

@@ -154,6 +154,8 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"unknown field", "/v1/search", `{"layre":{}}`},
 		{"syntax error", "/v1/search", `{"layer":`},
+		{"trailing data", "/v1/search", smallSearch + ` {"garbage":`},
+		{"trailing value", "/v1/search", smallSearch + ` {}`},
 		{"bad kind", "/v1/search", `{"layer":{"name":"x","kind":"conv9d","dims":{"B":1}}}`},
 		{"bad objective", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"objective":"speed"}`},
 		{"bad preset", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"arch":"warpdrive"}`},
@@ -170,6 +172,10 @@ func TestMalformedRequests(t *testing.T) {
 		if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body %q not of the standard shape", tc.name, data)
 		}
+	}
+	// Trailing whitespace after the value is not trailing data.
+	if resp, data := post(t, ts, "/v1/search", smallSearch+" \n\t\r\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status = %d, want 200 (%s)", resp.StatusCode, data)
 	}
 }
 

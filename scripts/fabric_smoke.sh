@@ -12,11 +12,6 @@
 # counters moved, that a malformed /v1/shard body answers 400, and that
 # SIGTERM still shuts the nodes down cleanly. CI runs this via
 # `make fabric-smoke`.
-#
-# -nosurrogate keeps the CLI output literally diffable: every printed
-# counter is then walk-exact, while the surrogate's "pruned before
-# evaluation" line depends on evaluation order and may differ between a
-# single engine and a fan-out (see DESIGN.md §13).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,7 +52,7 @@ wait_up "$ADDR2" "$PID2" "$DIR/node2.log"
 
 # The reference: one plain local search. A modest budget keeps the smoke
 # fast; the workload and options must match the sharded runs exactly.
-LAYER=(-b 64 -k 96 -c 128 -budget 4000 -nosurrogate)
+LAYER=(-b 64 -k 96 -c 128 -budget 4000)
 "$DIR/latmodel" "${LAYER[@]}" >"$DIR/local.out"
 grep -q 'search: .* valid' "$DIR/local.out" || {
     echo "fabric-smoke: reference run printed no search line:" >&2
