@@ -48,6 +48,7 @@ type opCache struct {
 	spatial [loops.NumDims]int64
 
 	m      [loops.NumOperands]map[string][]levelQuant
+	pre    loops.PrefixTable // temporal nest of the last keyed mapping, over the spatial products
 	keyBuf []byte
 	qBuf   []levelQuant // scratch for building entries before interning
 
@@ -65,25 +66,26 @@ type opCache struct {
 const opCacheMaxEntries = 1 << 13
 
 // ensure re-scopes the cache to problem p, dropping all entries when the
-// layer, arch or spatial unrolling changed since the last evaluation.
+// layer, arch or spatial unrolling changed since the last evaluation, and
+// builds the prefix table of p's temporal nest the operand keys read.
 func (c *opCache) ensure(p *Problem) {
 	sp := p.Mapping.Spatial.DimProduct()
-	if c.layer == p.Layer && c.arch == p.Arch && c.spatial == sp {
-		return
+	if c.layer != p.Layer || c.arch != p.Arch || c.spatial != sp {
+		c.layer, c.arch, c.spatial = p.Layer, p.Arch, sp
+		for op := range c.m {
+			c.m[op] = nil
+			c.lastKey[op] = c.lastKey[op][:0]
+			c.lastQ[op] = nil
+		}
 	}
-	c.layer, c.arch, c.spatial = p.Layer, p.Arch, sp
-	for op := range c.m {
-		c.m[op] = nil
-		c.lastKey[op] = c.lastKey[op][:0]
-		c.lastQ[op] = nil
-	}
+	c.pre.Build(&c.spatial, p.Mapping.Temporal)
 }
 
-// quants returns the cached Step-1 quantities of operand op for the current
-// mapping, computing and interning them on a miss. The returned slice has
-// one entry per interface level (len(chain)-1) and is owned by the cache:
-// callers must treat it as read-only, and it is only valid until the next
-// quants call (a table drop may release it).
+// quants returns the cached Step-1 quantities of operand op for the mapping
+// ensure last saw, computing and interning them on a miss. The returned
+// slice has one entry per interface level (len(chain)-1) and is owned by
+// the cache: callers must treat it as read-only, and it is only valid until
+// the next quants call (a table drop may release it).
 func (c *opCache) quants(p *Problem, op loops.Operand, chain []*arch.Memory) []levelQuant {
 	m := p.Mapping
 	levels := len(chain)
@@ -91,7 +93,7 @@ func (c *opCache) quants(p *Problem, op loops.Operand, chain []*arch.Memory) []l
 	// Canonical key: the operand's Step-1 content key (signature.go) — the
 	// same encoding the mapper's model-equivalence signature concatenates
 	// across operands.
-	key := appendOperandKey(c.keyBuf[:0], m, op, chain)
+	key := AppendOperandKey(c.keyBuf[:0], &c.pre, m.Temporal, op, m.Bound[op], chain)
 	c.keyBuf = key
 
 	if q := c.lastQ[op]; q != nil && bytes.Equal(key, c.lastKey[op]) {

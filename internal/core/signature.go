@@ -3,25 +3,32 @@ package core
 import (
 	"repro/internal/arch"
 	"repro/internal/loops"
-	"repro/internal/mapping"
 )
 
-// appendOperandKey appends operand op's canonical Step-1 content key for
-// mapping m to dst: per memory level (ALL levels, so the above-products of
-// every interface are pinned) the level nest's dim products, plus each
-// non-double-buffered interface level's effective top reuse run. Every
-// Step-1 quantity of the operand — Mem_DATA, Mem_CC, Z, the Table-I
+// AppendOperandKey appends operand op's canonical Step-1 content key to dst:
+// per memory level (ALL levels, so the above-products of every interface
+// are pinned), innermost first, the dim products of the level's loops
+// nest[lo:hi], then — for an interface level (every level but the chain's
+// last) that is not double-buffered — the level's effective top reuse run.
+// The products are read from pre, the prefix dim-product table of nest (over
+// any positive base: a level's products are the quotient of its boundary
+// rows), and bounds, op's level boundaries in nest — one per chain level, as
+// in mapping.Mapping.Bound.
+//
+// Every Step-1 quantity of the operand — Mem_DATA, Mem_CC, Z, the Table-I
 // keep-out scaling and the psum traffic split — is a pure function of this
-// key, which makes it both the op-cache's lookup key (opcache.go) and one
-// third of the mapper's model-equivalence signature.
-func appendOperandKey(dst []byte, m *mapping.Mapping, op loops.Operand, chain []*arch.Memory) []byte {
-	levels := len(chain)
-	for l := 0; l < levels; l++ {
-		nest := m.LevelNest(op, l)
-		dst = nest.AppendDimProducts(dst)
-		if l < levels-1 && !chain[l].DoubleBuffered {
-			dst = loops.AppendUvarint(dst, uint64(nest.TopReuseRun(op)))
+// key. It is the op-cache's lookup key (opcache.go) and one third of the
+// mapper's model-equivalence signature; this is the only encoder of its
+// bytes, so the reduction and the op-cache cannot drift apart.
+func AppendOperandKey(dst []byte, pre *loops.PrefixTable, nest loops.Nest, op loops.Operand, bounds []int, chain []*arch.Memory) []byte {
+	lo := 0
+	for l := range chain {
+		hi := bounds[l]
+		dst = loops.AppendDimQuotients(dst, pre.Row(hi), pre.Row(lo))
+		if l < len(chain)-1 && !chain[l].DoubleBuffered {
+			dst = loops.AppendUvarint(dst, uint64(nest[lo:hi].TopReuseRun(op)))
 		}
+		lo = hi
 	}
 	return dst
 }
@@ -42,8 +49,11 @@ func appendOperandKey(dst []byte, m *mapping.Mapping, op loops.Operand, chain []
 // the chain structure fixes the encoding's field boundaries, so within one
 // such family equal bytes imply equal quantity tuples.
 func (ev *Evaluator) AppendSignature(dst []byte, p *Problem) []byte {
+	m := p.Mapping
+	sp := m.Spatial.DimProduct()
+	ev.opc.pre.Build(&sp, m.Temporal)
 	for _, op := range loops.AllOperands {
-		dst = appendOperandKey(dst, p.Mapping, op, ev.chainMems(p.Arch, op))
+		dst = AppendOperandKey(dst, &ev.opc.pre, m.Temporal, op, m.Bound[op], ev.chainMems(p.Arch, op))
 	}
 	return dst
 }

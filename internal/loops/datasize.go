@@ -11,8 +11,10 @@ type Strides struct {
 // DefaultStrides returns unit stride and dilation.
 func DefaultStrides() Strides { return Strides{SX: 1, SY: 1, DX: 1, DY: 1} }
 
-// normalized returns s with zero fields replaced by 1.
-func (s Strides) normalized() Strides {
+// Normalized returns s with zero fields replaced by 1: the form
+// TileElemsNormalized expects, so a caller sizing many tiles under one
+// layer's strides normalizes them once.
+func (s Strides) Normalized() Strides {
 	if s.SX == 0 {
 		s.SX = 1
 	}
@@ -53,23 +55,33 @@ func InputExtent(out, f, s, d int64) int64 {
 // of the operand's relevant dimensions; for I the OY/FY and OX/FX pairs
 // combine through the sliding window using st.
 func TileElems(op Operand, dims [NumDims]int64, st Strides) int64 {
-	st = st.normalized()
-	for i, v := range dims {
-		if v < 1 {
-			dims[i] = 1
-		}
-	}
+	return TileElemsNormalized(op, &dims, st.Normalized())
+}
+
+// TileElemsNormalized is TileElems over strides already passed through
+// Normalized, reading the extents in place: the form the mapper's greedy
+// boundary scan calls once per prefix-table row (PrefixTable.Row).
+func TileElemsNormalized(op Operand, dims *[NumDims]int64, st Strides) int64 {
 	switch op {
 	case W:
-		return dims[K] * dims[C] * dims[FY] * dims[FX]
+		return atLeast1(dims[K]) * atLeast1(dims[C]) * atLeast1(dims[FY]) * atLeast1(dims[FX])
 	case O:
-		return dims[B] * dims[K] * dims[OY] * dims[OX]
+		return atLeast1(dims[B]) * atLeast1(dims[K]) * atLeast1(dims[OY]) * atLeast1(dims[OX])
 	case I:
-		iy := InputExtent(dims[OY], dims[FY], st.SY, st.DY)
-		ix := InputExtent(dims[OX], dims[FX], st.SX, st.DX)
-		return dims[B] * dims[C] * iy * ix
+		iy := InputExtent(atLeast1(dims[OY]), atLeast1(dims[FY]), st.SY, st.DY)
+		ix := InputExtent(atLeast1(dims[OX]), atLeast1(dims[FX]), st.SX, st.DX)
+		return atLeast1(dims[B]) * atLeast1(dims[C]) * iy * ix
 	}
 	panic("loops: TileElems: unknown operand")
+}
+
+// atLeast1 clamps a tile extent: a value below 1 means the dimension is not
+// present in the tile.
+func atLeast1(v int64) int64 {
+	if v < 1 {
+		return 1
+	}
+	return v
 }
 
 // NestTileElems returns the number of elements of op addressed by the tile

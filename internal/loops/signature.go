@@ -22,23 +22,45 @@ import "encoding/binary"
 // and injective: equal byte strings imply equal product vectors.
 func (n Nest) AppendDimProducts(dst []byte) []byte {
 	dims := n.DimProduct()
-	var tmp [binary.MaxVarintLen64]byte
-	for d, v := range dims {
-		if v != 1 {
-			dst = append(dst, byte(d))
-			k := binary.PutUvarint(tmp[:], uint64(v))
-			dst = append(dst, tmp[:k]...)
+	return appendDims(dst, &dims)
+}
+
+// AppendDimQuotients appends the AppendDimProducts encoding of the loops
+// between two boundaries lo <= hi of a PrefixTable — Row(hi) per dimension
+// divided by Row(lo) — without revisiting the loops: a dimension with no
+// loop in between has equal rows and encodes nothing, any other divides
+// exactly.
+func AppendDimQuotients(dst []byte, hi, lo *[NumDims]int64) []byte {
+	for d := range hi {
+		if h, l := hi[d], lo[d]; h != l {
+			dst = appendDim(dst, d, int64(uint64(h)/uint64(l))) // positive rows
 		}
 	}
 	return append(dst, 0xFF)
 }
 
+// appendDims is the dim-product byte layout: every non-unit dimension as
+// appendDim, then the 0xFF terminator.
+func appendDims(dst []byte, dims *[NumDims]int64) []byte {
+	for d, v := range dims {
+		dst = appendDim(dst, d, v)
+	}
+	return append(dst, 0xFF)
+}
+
+// appendDim appends one dimension's product v as its index byte and uvarint
+// value, or nothing when v is 1.
+func appendDim(dst []byte, d int, v int64) []byte {
+	if v == 1 {
+		return dst
+	}
+	return AppendUvarint(append(dst, byte(d)), uint64(v))
+}
+
 // AppendUvarint appends the uvarint encoding of v to dst and returns the
 // extended slice.
 func AppendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:k]...)
+	return binary.AppendUvarint(dst, v)
 }
 
 // DistinctOrderings returns the number of distinct sequences the block

@@ -116,6 +116,7 @@ type engine struct {
 	// into the search: the result is bit-identical with or without hooks.
 	hooks       *obs.SearchHooks
 	start       time.Time
+	scoreTime   time.Duration // serial path: inline batch scoring so far
 	obsValid    atomic.Int64
 	obsPruned   atomic.Int64
 	obsBestBits atomic.Uint64
@@ -174,11 +175,25 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 	}
 
 	if workers == 1 {
-		// Serial fast path: evaluate on the caller's goroutine, straight off
-		// the generator's shared nest buffer.
-		e.generate(stats, func(seq int64, nest loops.Nest) {
-			ws[0].process(job{seq: seq, nest: nest})
+		// Serial path: the generator stages its nests into the same batches
+		// the parallel workers drain, and each full batch is scored inline on
+		// the caller's goroutine. With hooks set only the flushes are timed —
+		// two clock reads per batch, never per ordering — so the "score"
+		// phase is the inline scoring and "generate" the walk without it.
+		emit, flush := e.stage(func(bt *jobBatch) {
+			if e.hooks == nil {
+				ws[0].run(bt)
+				return
+			}
+			t0 := time.Now()
+			ws[0].run(bt)
+			e.scoreTime += time.Since(t0)
 		})
+		e.generate(stats, emit)
+		flush()
+		if e.hooks != nil {
+			e.hooks.EmitPhase("score", e.scoreTime)
+		}
 	} else {
 		ch := make(chan *jobBatch, workers)
 		var wg sync.WaitGroup
@@ -190,41 +205,20 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 			}(w)
 		}
 		go func() {
-			var cur *jobBatch
-			flush := func() {
-				if cur != nil && len(cur.jobs) > 0 {
-					// A slow consumer must not make the generator
-					// uncancelable: if the channel is full when the context
-					// dies, drop the batch and abort instead of parking in
-					// the send. (Background's Done() is nil, so for batch
-					// callers this is exactly the plain send.)
-					select {
-					case ch <- cur:
-					case <-e.ctx.Done():
-						e.aborted.Store(true)
-						batchPool.Put(cur)
-					}
-				}
-				cur = nil
-			}
-			e.generate(stats, func(seq int64, nest loops.Nest) {
-				if cur == nil {
-					cur = batchPool.Get().(*jobBatch)
-					cur.jobs = cur.jobs[:0]
-					cur.slab = cur.slab[:0]
-				}
-				// The generator emits nests from a shared buffer it
-				// overwrites on the next emit, so they are copied into the
-				// batch slab (a slab regrow leaves earlier jobs pointing into
-				// the old array, which stays valid — the slices are
-				// read-only).
-				start := len(cur.slab)
-				cur.slab = append(cur.slab, nest...)
-				cur.jobs = append(cur.jobs, job{seq: seq, nest: loops.Nest(cur.slab[start:len(cur.slab):len(cur.slab)])})
-				if len(cur.jobs) == batchSize {
-					flush()
+			emit, flush := e.stage(func(bt *jobBatch) {
+				// A slow consumer must not make the generator uncancelable:
+				// if the channel is full when the context dies, drop the
+				// batch and abort instead of parking in the send.
+				// (Background's Done() is nil, so for batch callers this is
+				// exactly the plain send.)
+				select {
+				case ch <- bt:
+				case <-e.ctx.Done():
+					e.aborted.Store(true)
+					batchPool.Put(bt)
 				}
 			})
+			e.generate(stats, emit)
 			flush()
 			close(ch)
 		}()
@@ -333,7 +327,9 @@ func prefixStrides(dimSplits *[loops.NumDims][][]int64, depth int) []int64 {
 func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 	o := e.o
 	if e.hooks != nil {
-		defer func(t0 time.Time) { e.hooks.EmitPhase("generate", time.Since(t0)) }(time.Now())
+		// The serial path scores batches inside emit; that time is its own
+		// "score" phase.
+		defer func(t0 time.Time) { e.hooks.EmitPhase("generate", time.Since(t0)-e.scoreTime) }(time.Now())
 	}
 
 	extents, dimSplits := walkSpace(e.l, o)
@@ -663,16 +659,15 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 }
 
 // workerScratch is the heavy, search-independent part of a worker's state:
-// resolved memory chains, boundary storage and a core.Evaluator whose
-// internal buffers (and Step-1 op-cache) persist across candidates. It is
-// recycled through scratchPool so that back-to-back searches — a network
-// sweep evaluating dozens of layers, a benchmark loop — stop re-growing the
-// evaluator buffers from zero on every Best call.
+// the boundary assigner (its prefix table carried from job to job) and a
+// core.Evaluator whose internal buffers (and Step-1 op-cache) persist
+// across candidates. It is recycled through scratchPool so that
+// back-to-back searches — a network sweep evaluating dozens of layers, a
+// benchmark loop — stop re-growing the evaluator buffers from zero on every
+// Best call.
 type workerScratch struct {
-	chainArch *arch.Arch // architecture the chains were resolved for
-	chains    [loops.NumOperands][]*arch.Memory
-	store     [loops.NumOperands][]int
-	ev        core.Evaluator
+	b  bounder
+	ev core.Evaluator
 
 	// Batched-scoring slabs (structure of arrays over one jobBatch): each
 	// slot owns a Mapping with its own boundary storage so the surviving
@@ -686,15 +681,14 @@ type workerScratch struct {
 
 // batchSlot is one lane of the batched-scoring slab.
 type batchSlot struct {
-	m     mapping.Mapping
-	store [loops.NumOperands][]int
-	prob  core.Problem
+	m    mapping.Mapping
+	prob core.Problem
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
 
 // worker holds one evaluation lane: pooled scratch plus a reusable mapping
-// (shared read-only spatial nest, boundary storage reused across nests). The
+// (shared read-only spatial nest, boundaries aliasing the bounder's). The
 // reject path — bounds overflow, validation failure, prune — allocates
 // nothing.
 type worker struct {
@@ -719,12 +713,7 @@ type worker struct {
 
 func newWorker(e *engine) *worker {
 	w := &worker{e: e, s: scratchPool.Get().(*workerScratch), bestScore: math.Inf(1), bestSeq: math.MaxInt64}
-	if w.s.chainArch != e.a {
-		for _, op := range loops.AllOperands {
-			w.s.chains[op] = e.a.ChainMems(op)
-		}
-		w.s.chainArch = e.a
-	}
+	w.s.b.reset(e.l, e.a, e.o.Spatial)
 	w.m.Spatial = e.o.Spatial
 	w.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &w.m}
 	for i := range w.s.slots {
@@ -753,32 +742,65 @@ type jobBatch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(jobBatch) }}
 
+// stage returns an emit function for generate that copies each nest into a
+// pooled jobBatch and hands every full batch to ship, plus a flush that
+// ships the last partial one. The generator emits nests from a shared
+// buffer it overwrites on the next emit, hence the copy into the batch slab
+// (a slab regrow leaves earlier jobs pointing into the old array, which
+// stays valid — the slices are read-only).
+func (e *engine) stage(ship func(*jobBatch)) (emit func(int64, loops.Nest), flush func()) {
+	var cur *jobBatch
+	emit = func(seq int64, nest loops.Nest) {
+		if cur == nil {
+			cur = batchPool.Get().(*jobBatch)
+			cur.jobs = cur.jobs[:0]
+			cur.slab = cur.slab[:0]
+		}
+		start := len(cur.slab)
+		cur.slab = append(cur.slab, nest...)
+		cur.jobs = append(cur.jobs, job{seq: seq, nest: loops.Nest(cur.slab[start:len(cur.slab):len(cur.slab)])})
+		if len(cur.jobs) == batchSize {
+			ship(cur)
+			cur = nil
+		}
+	}
+	flush = func() {
+		if cur != nil {
+			ship(cur)
+			cur = nil
+		}
+	}
+	return emit, flush
+}
+
 func (w *worker) drain(ch <-chan *jobBatch) {
-	e := w.e
-	batched := e.mode == modeBest && e.o.Objective == MinLatency && e.o.BWAware
 	for bt := range ch {
-		// After an abort, keep receiving (the generator may have batches in
-		// flight and must never block on a full channel) but stop scoring —
-		// checked per job, and against the context directly, so that a
-		// cancellation arriving mid-batch (or after the generator already
-		// finished and can no longer raise the flag) skips the remaining
-		// evaluations instead of grinding out the queue.
-		if batched {
-			w.processBatch(bt)
-			batchPool.Put(bt)
-			continue
+		w.run(bt)
+	}
+}
+
+// run scores one batch and returns it to the pool. After an abort it keeps
+// accepting batches (the generator may have batches in flight and must
+// never block on a full channel) but stops scoring — checked per job, and
+// against the context directly, so that a cancellation arriving mid-batch
+// (or after the generator already finished and can no longer raise the
+// flag) skips the remaining evaluations instead of grinding out the queue.
+func (w *worker) run(bt *jobBatch) {
+	defer batchPool.Put(bt)
+	e := w.e
+	if e.mode == modeBest && e.o.Objective == MinLatency && e.o.BWAware {
+		w.processBatch(bt)
+		return
+	}
+	for _, j := range bt.jobs {
+		if e.aborted.Load() {
+			return
 		}
-		for _, j := range bt.jobs {
-			if e.aborted.Load() {
-				break
-			}
-			if e.ctx.Err() != nil {
-				e.aborted.Store(true)
-				break
-			}
-			w.process(j)
+		if e.ctx.Err() != nil {
+			e.aborted.Store(true)
+			return
 		}
-		batchPool.Put(bt)
+		w.process(j)
 	}
 }
 
@@ -812,8 +834,11 @@ func (w *worker) processBatch(bt *jobBatch) {
 			slot.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &slot.m}
 		}
 		slot.m.Temporal = j.nest
-		if !assignBoundsIn(&slot.m, e.l, &s.chains, &slot.store) {
+		if !s.b.assign(j.nest) {
 			continue
+		}
+		for op := range s.b.ops {
+			slot.m.Bound[op] = append(slot.m.Bound[op][:0], s.b.ops[op].bounds...)
 		}
 		if slot.m.Validate(e.l, e.a) != nil {
 			continue
@@ -874,9 +899,10 @@ func (w *worker) process(j job) {
 	o := e.o
 	seq, nest := j.seq, j.nest
 	w.m.Temporal = nest
-	if !assignBoundsIn(&w.m, e.l, &w.s.chains, &w.s.store) {
+	if !w.s.b.assign(nest) {
 		return
 	}
+	w.s.b.bounds(&w.m)
 	if w.m.Validate(e.l, e.a) != nil {
 		return
 	}

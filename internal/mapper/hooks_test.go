@@ -16,6 +16,7 @@ import (
 // mutable snapshot fields sit behind a mutex.
 type countingHooks struct {
 	phases    sync.Map // name -> *atomic.Int64
+	durs      sync.Map // name -> *atomic.Int64, total nanoseconds
 	progress  atomic.Int64
 	improved  atomic.Int64
 	annealed  atomic.Int64
@@ -29,6 +30,8 @@ func (c *countingHooks) hooks() *obs.SearchHooks {
 		Phase: func(name string, d time.Duration) {
 			v, _ := c.phases.LoadOrStore(name, new(atomic.Int64))
 			v.(*atomic.Int64).Add(1)
+			v, _ = c.durs.LoadOrStore(name, new(atomic.Int64))
+			v.(*atomic.Int64).Add(int64(d))
 		},
 		Progress: func(p obs.SearchProgress) {
 			c.progress.Add(1)
@@ -56,6 +59,14 @@ func (c *countingHooks) phaseCount(name string) int64 {
 		return 0
 	}
 	return v.(*atomic.Int64).Load()
+}
+
+func (c *countingHooks) phaseTime(name string) time.Duration {
+	v, ok := c.durs.Load(name)
+	if !ok {
+		return 0
+	}
+	return time.Duration(v.(*atomic.Int64).Load())
 }
 
 // TestHooksDoNotPerturbSearch is the telemetry contract: a search with
@@ -104,6 +115,18 @@ func TestHooksDoNotPerturbSearch(t *testing.T) {
 				}
 				if n := ch.phaseCount("generate"); n != 1 {
 					t.Errorf("workers=%d: generate phase fired %d times, want 1", workers, n)
+				}
+				// The serial path scores inline and reports that time as its
+				// own phase, disjoint from generate: both fit in the search.
+				wantScore := int64(0)
+				if workers == 1 {
+					wantScore = 1
+				}
+				if n := ch.phaseCount("score"); n != wantScore {
+					t.Errorf("workers=%d: score phase fired %d times, want %d", workers, n, wantScore)
+				}
+				if gen, score, search := ch.phaseTime("generate"), ch.phaseTime("score"), ch.phaseTime("search"); gen < 0 || gen+score > search {
+					t.Errorf("workers=%d: generate %v + score %v exceed search %v", workers, gen, score, search)
 				}
 				if ch.progress.Load() < 1 {
 					t.Errorf("workers=%d: no progress snapshot delivered", workers)

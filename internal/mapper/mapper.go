@@ -247,59 +247,16 @@ func evaluate(l *workload.Layer, a *arch.Arch, o *Options, nest loops.Nest) *Can
 	return c
 }
 
-// assignBounds sets each operand's level boundaries greedily: every level
-// absorbs as many loops (from where the previous level stopped) as its
-// mapper-visible capacity allows. Because operand-irrelevant loops do not
-// grow the resident tile, this automatically normalizes reuse loops to the
-// lowest possible level (the canonical placement discussed in DESIGN.md).
-// Returns false when even the spatial tile overflows some level.
+// assignBounds sets each operand's level boundaries greedily (bounds.go) on
+// a freshly allocated mapping. Returns false when even the spatial tile
+// overflows some level.
 func assignBounds(m *mapping.Mapping, l *workload.Layer, a *arch.Arch) bool {
-	var chains [loops.NumOperands][]*arch.Memory
-	var store [loops.NumOperands][]int
-	for _, op := range loops.AllOperands {
-		chains[op] = a.ChainMems(op)
+	var b bounder
+	b.reset(l, a, m.Spatial)
+	if !b.assign(m.Temporal) {
+		return false
 	}
-	return assignBoundsIn(m, l, &chains, &store)
-}
-
-// assignBoundsIn is assignBounds with caller-provided chain resolution and
-// boundary storage, so the search hot path can run it allocation-free. The
-// boundary slices written into m.Bound alias store.
-func assignBoundsIn(m *mapping.Mapping, l *workload.Layer, chains *[loops.NumOperands][]*arch.Memory, store *[loops.NumOperands][]int) bool {
-	n := len(m.Temporal)
-	for _, op := range loops.AllOperands {
-		chain := chains[op]
-		bounds := store[op][:0]
-		for range chain {
-			bounds = append(bounds, 0)
-		}
-		store[op] = bounds
-		prev := 0
-		for lev := range chain {
-			if lev == len(chain)-1 {
-				bounds[lev] = n
-				break
-			}
-			capBits := chain[lev].MapperCapacityBits()
-			bits := int64(l.Precision.Bits(op))
-			b := prev
-			m.Bound[op] = bounds // MemData reads Bound; keep it current
-			bounds[lev] = b
-			if m.MemData(op, lev, l.Strides)*bits > capBits {
-				return false // spatial tile alone does not fit
-			}
-			for b < n {
-				bounds[lev] = b + 1
-				if m.MemData(op, lev, l.Strides)*bits > capBits {
-					bounds[lev] = b
-					break
-				}
-				b++
-			}
-			prev = bounds[lev]
-		}
-		m.Bound[op] = bounds
-	}
+	b.bounds(m)
 	return true
 }
 

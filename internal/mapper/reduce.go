@@ -22,25 +22,23 @@ import (
 
 // canonicalizer computes model-equivalence signatures for temporal nests of
 // one (layer, arch, spatial unrolling) search, allocation-free per nest, and
-// interns them into a collision-checked class set. Not safe for concurrent
-// use; the generator owns one, each annealing chain owns one.
+// interns them into a collision-checked class set. One prefix dim-product
+// table per nest drives both the greedy boundaries and the signature, and it
+// is carried along the walk (bounds.go). Not safe for concurrent use; the
+// generator owns one, each annealing chain owns one.
 type canonicalizer struct {
-	l      *workload.Layer
-	a      *arch.Arch
-	chains [loops.NumOperands][]*arch.Memory
-	store  [loops.NumOperands][]int
-	m      mapping.Mapping
-	prob   core.Problem
-	ev     core.Evaluator
-	sig    []byte
-	seen   memo.Set
+	l    *workload.Layer
+	a    *arch.Arch
+	b    bounder
+	m    mapping.Mapping
+	prob core.Problem
+	ev   core.Evaluator
+	seen memo.Set
 }
 
 func newCanonicalizer(l *workload.Layer, a *arch.Arch, spatial loops.Nest) *canonicalizer {
 	c := &canonicalizer{l: l, a: a}
-	for _, op := range loops.AllOperands {
-		c.chains[op] = a.ChainMems(op)
-	}
+	c.b.reset(l, a, spatial)
 	c.m.Spatial = spatial
 	c.prob = core.Problem{Layer: l, Arch: a, Mapping: &c.m}
 	return c
@@ -53,15 +51,15 @@ func newCanonicalizer(l *workload.Layer, a *arch.Arch, spatial loops.Nest) *cano
 // level), so the single byte cannot collide with one.
 var boundsFailSig = []byte{0x00}
 
-// signature computes nest's model-equivalence signature. The returned slice
-// is the canonicalizer's scratch, valid until the next signature call.
+// signature computes nest's model-equivalence signature — byte for byte
+// core.Evaluator.AppendSignature of the nest's greedy mapping. The returned
+// slice is the canonicalizer's scratch, valid until the next signature
+// call.
 func (c *canonicalizer) signature(nest loops.Nest) []byte {
-	c.m.Temporal = nest
-	if !assignBoundsIn(&c.m, c.l, &c.chains, &c.store) {
+	if !c.b.assign(nest) {
 		return boundsFailSig
 	}
-	c.sig = c.ev.AppendSignature(c.sig[:0], &c.prob)
-	return c.sig
+	return c.b.signature()
 }
 
 // intern records nest's class and reports whether an earlier nest of the
@@ -80,12 +78,23 @@ func (c *canonicalizer) internSig(nest loops.Nest) ([]byte, bool) {
 	return sig, !c.seen.Insert(sig)
 }
 
+// mapNest points the canonicalizer's mapping at nest with its greedy
+// boundaries, reporting false when the assignment fails. The boundaries
+// alias the bounder's storage, valid until its next assignment.
+func (c *canonicalizer) mapNest(nest loops.Nest) bool {
+	c.m.Temporal = nest
+	if !c.b.assign(nest) {
+		return false
+	}
+	c.b.bounds(&c.m)
+	return true
+}
+
 // score evaluates nest exactly the way the search workers do — greedy
 // bounds, validation, then the full model (bwAware) or the baseline — and
 // reports whether the nest is a valid mapping at all.
 func (c *canonicalizer) score(nest loops.Nest, bwAware bool) (float64, bool) {
-	c.m.Temporal = nest
-	if !assignBoundsIn(&c.m, c.l, &c.chains, &c.store) {
+	if !c.mapNest(nest) {
 		return 0, false
 	}
 	if c.m.Validate(c.l, c.a) != nil {
@@ -108,8 +117,7 @@ func (c *canonicalizer) score(nest loops.Nest, bwAware bool) (float64, bool) {
 // and hop cycles are monotone in tile size. LowerBound of the empty nest is
 // 1 (its CC_spatial) + that floor, hence the -1.
 func (c *canonicalizer) boundFloor() float64 {
-	c.m.Temporal = nil
-	if !assignBoundsIn(&c.m, c.l, &c.chains, &c.store) {
+	if !c.mapNest(nil) {
 		return 0
 	}
 	return c.ev.LowerBound(&c.prob) - 1

@@ -1,32 +1,26 @@
 package memo
 
-// Set is an insert-only set of byte-string keys with the same collision
-// discipline as the Cache: lookups go through a 64-bit FNV-1a bucket and
-// full keys are compared byte for byte inside the bucket, so two distinct
-// keys can never merge silently. It is NOT safe for concurrent use — the
-// mapper's generator (its primary client) is single-threaded by design.
+// Set is an insert-only set of byte-string keys. Keys are compared byte for
+// byte (a Go map keyed by the string), so two distinct keys can never merge
+// silently. It is NOT safe for concurrent use — the mapper's generator (its
+// primary client) is single-threaded by design.
 type Set struct {
-	buckets map[uint64][]string
-	n       int
+	keys map[string]struct{}
 }
 
 // Insert adds key to the set, copying the bytes, and reports whether it was
 // newly inserted (false = already present). The duplicate probe allocates
 // nothing.
 func (s *Set) Insert(key []byte) bool {
-	if s.buckets == nil {
-		s.buckets = make(map[uint64][]string)
+	if _, ok := s.keys[string(key)]; ok {
+		return false
 	}
-	sum := fnv1a(fnvOffset64, key)
-	for _, k := range s.buckets[sum] {
-		if k == string(key) {
-			return false
-		}
+	if s.keys == nil {
+		s.keys = make(map[string]struct{})
 	}
-	s.buckets[sum] = append(s.buckets[sum], string(key))
-	s.n++
+	s.keys[string(key)] = struct{}{}
 	return true
 }
 
 // Len returns the number of distinct keys inserted so far.
-func (s *Set) Len() int { return s.n }
+func (s *Set) Len() int { return len(s.keys) }

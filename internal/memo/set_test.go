@@ -27,8 +27,8 @@ func TestSetInsert(t *testing.T) {
 	}
 }
 
-// TestSetManyKeys drives enough keys through the set to exercise hash-bucket
-// chains, and verifies exact membership semantics throughout.
+// TestSetManyKeys drives enough keys through the set to exercise its growth,
+// and verifies exact membership semantics throughout.
 func TestSetManyKeys(t *testing.T) {
 	var s Set
 	const n = 5000
@@ -49,11 +49,9 @@ func TestSetManyKeys(t *testing.T) {
 	}
 }
 
-// TestSetCollisionSafety plants two distinct keys in the same bucket by
-// construction (the bucket map is keyed by the 64-bit hash; a chain scan
-// must still tell the keys apart). We cannot cheaply forge an FNV collision,
-// so instead verify that near-identical long keys — the adversarial case for
-// a lazy prefix compare — are kept distinct.
+// TestSetCollisionSafety verifies that near-identical long keys — the
+// adversarial case for a lazy prefix compare or a hash-only membership
+// test — are kept distinct.
 func TestSetCollisionSafety(t *testing.T) {
 	var s Set
 	a := make([]byte, 1024)

@@ -49,8 +49,10 @@ type SearchProgress struct {
 // the search result.
 type SearchHooks struct {
 	// Phase reports a completed pipeline phase and its wall-clock
-	// duration: "generate" (the enumeration walk), "search" (the whole
-	// Best/Enumerate call) or "anneal" (a whole Anneal call).
+	// duration: "generate" (the enumeration walk: canonicalization, bounds
+	// and batching, without the serial path's inline scoring), "score" (a
+	// one-worker search's inline batch scoring, summed), "search" (the
+	// whole Best/Enumerate call) or "anneal" (a whole Anneal call).
 	Phase func(name string, d time.Duration)
 	// Progress receives periodic snapshots from the generator (single
 	// goroutine) and one final snapshot with Done=true.

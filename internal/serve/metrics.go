@@ -167,8 +167,8 @@ type metrics struct {
 	// remainder.
 	fabricShards counter
 	fabricSteals counter
-	// phaseSeconds times the mapper's internal phases (generate, search,
-	// anneal), fed by the telemetry hooks of searches this server computed.
+	// phaseSeconds times the mapper's internal phases (generate, score,
+	// search, anneal), fed by the telemetry hooks of searches this server computed.
 	phaseSeconds *labeledHistogram
 	// buildGo / buildRev label the build_info gauge.
 	buildGo, buildRev string
@@ -355,7 +355,7 @@ func (m *metrics) write(w io.Writer, memo memoSnapshot, adm admissionSnapshot, s
 	fmt.Fprintf(w, "# TYPE servemodel_search_live gauge\n")
 	fmt.Fprintf(w, "servemodel_search_live %d\n", searchLive)
 
-	fmt.Fprintf(w, "# HELP servemodel_search_phase_seconds Mapper phase durations (generate, search, anneal) of searches computed by this server.\n")
+	fmt.Fprintf(w, "# HELP servemodel_search_phase_seconds Mapper phase durations (generate, score, search, anneal) of searches computed by this server.\n")
 	fmt.Fprintf(w, "# TYPE servemodel_search_phase_seconds histogram\n")
 	for _, ph := range m.phaseSeconds.labels() {
 		h := m.phaseSeconds.get(ph)
