@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke serve-smoke fabric-smoke ledger-smoke clean
+.PHONY: all build test race vet lint fuzz-smoke bench bench-smoke serve-smoke fabric-smoke ledger-smoke clean
 
 all: build test
 
@@ -31,6 +31,17 @@ lint:
 	else \
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Ten seconds of each native fuzzer: the exact Step-2 window algebra
+# (periodic) and the prefix-table boundary assignment, signature and
+# validity verdict against their references (mapper). `go test -fuzz` takes
+# one target per run; a failing input is saved under the package's
+# testdata/fuzz and replays in every later `go test`.
+fuzz-smoke:
+	$(GO) test ./internal/periodic -run '^$$' -fuzz '^FuzzUnionLength$$' -fuzztime 10s
+	$(GO) test ./internal/periodic -run '^$$' -fuzz '^FuzzUnionMixedSpans$$' -fuzztime 10s
+	$(GO) test ./internal/periodic -run '^$$' -fuzz '^FuzzIntersectLength$$' -fuzztime 10s
+	$(GO) test ./internal/mapper -run '^$$' -fuzz '^FuzzAssignBounds$$' -fuzztime 10s
 
 # Search & model benchmarks with allocation stats, appended to the JSON
 # history in BENCH_mapper.json keyed by git SHA + date (see cmd/benchjson).

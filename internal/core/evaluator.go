@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/loops"
@@ -19,19 +23,19 @@ import (
 // Evaluator. Use the package-level Evaluate, which runs a throwaway
 // Evaluator, when the result must outlive later evaluations.
 type Evaluator struct {
-	// Resolved memory chains, cached per architecture (pointer identity).
-	chainArch *arch.Arch
-	chains    [loops.NumOperands][]*arch.Memory
+	plan archPlan // the architecture's chains and ports, resolved once per arch
 
 	epStore []Endpoint  // value slab backing eps; never reallocated mid-build
 	eps     []*Endpoint // Step-1 output
+	eref    []*portRef  // eps[k]'s port
 
 	groups   []portGroup    // Step-2 per-physical-port grouping
-	gidx     []int          // endpoint -> group index scratch
-	gepStore []*Endpoint    // shared backing for the groups' endpoint lists
+	gcount   []int          // rank -> member count scratch
+	gnext    []int          // rank -> next free member slot scratch
+	gepStore []*Endpoint    // the groups' members, group after group
 	mems     []memEntry     // Step-3 per-memory reduction
 	rigid    []rigidEntry   // rigid-stall accumulation scratch
-	busy     []portBusyCC   // preload shared-port serialization scratch
+	busy     []float64      // preload hop time per port-group rank
 	sc       combineScratch // Eq. (1)/(2) scratch
 
 	opc opCache // Step-1 sub-result memo tables (opcache.go)
@@ -40,12 +44,12 @@ type Evaluator struct {
 // NewEvaluator returns an empty evaluator (equivalent to new(Evaluator)).
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// portGroup is the Step-2 grouping of DTL endpoints by physical port.
+// portGroup is the Step-2 grouping of DTL endpoints by physical port: the
+// port is the plan's keys[rank], the members gepStore[lo:hi]. It holds no
+// pointer, so building the groups costs no GC write barriers.
 type portGroup struct {
-	mem  string
-	port int
-	n    int // member count (first grouping pass)
-	eps  []*Endpoint
+	rank   int
+	lo, hi int
 
 	ss    float64
 	muw   float64
@@ -66,23 +70,127 @@ type rigidEntry struct {
 	kind  [3]float64
 }
 
-// portBusyCC accumulates preload hop time per shared physical port.
-type portBusyCC struct {
-	mem  string
-	port int
-	cc   float64
+// archPlan is what the model reads of an architecture: the memory chains
+// and, for every (operand, chain level, direction), the port the access
+// uses. None of it depends on the layer or the mapping, so an Evaluator
+// resolves it once per architecture (pointer identity, like the op-cache)
+// instead of looking ports up per endpoint and per hop. Port pointers are
+// kept, not copies, so a bandwidth is read where the model reads it.
+type archPlan struct {
+	arch   *arch.Arch
+	chains [loops.NumOperands][]*arch.Memory
+	refs   [loops.NumOperands][][2]portRef // [op][level][0 read, 1 write]
+
+	// Step 2 and the preload phase also need every port's group rank;
+	// Step 1 alone (Endpoints) does not, so the ranks are filled on first
+	// use.
+	ranked bool
+	keys   []groupKey // rank -> physical port, sorted
 }
 
-// chainMems resolves operand op's memory chain, caching the resolution per
-// architecture pointer (chains are static once an Arch is normalized).
-func (ev *Evaluator) chainMems(a *arch.Arch, op loops.Operand) []*arch.Memory {
-	if ev.chainArch != a {
-		ev.chainArch = a
-		for _, o := range loops.AllOperands {
-			ev.chains[o] = a.ChainMems(o)
+// portRef is one access's resolved port: what arch.Memory.Port returns for
+// it, plus the rank of its physical port among the plan's keys.
+type portRef struct {
+	port *arch.Port
+	idx  int
+	err  error
+	rank int
+}
+
+// groupKey names one physical port: (memory name, port index). Step 2
+// groups endpoints by it and visits the groups in its sorted order.
+type groupKey struct {
+	mem  string
+	port int
+}
+
+// resolve fills the plan's chains and ports for architecture a.
+func (pl *archPlan) resolve(a *arch.Arch) {
+	pl.arch, pl.ranked = a, false
+	n := 0
+	for _, op := range loops.AllOperands {
+		pl.chains[op] = a.ChainMems(op)
+		n += len(pl.chains[op])
+	}
+	refs := make([][2]portRef, n)
+	for _, op := range loops.AllOperands {
+		chain := pl.chains[op]
+		pl.refs[op], refs = refs[:len(chain):len(chain)], refs[len(chain):]
+		for lev, mem := range chain {
+			for dir := range pl.refs[op][lev] {
+				r := &pl.refs[op][lev][dir]
+				r.port, r.idx, r.err = mem.Port(arch.Access{Operand: op, Write: dir == 1})
+			}
 		}
 	}
-	return ev.chains[op]
+}
+
+// rank fills the plan's keys — its distinct physical ports in (memory
+// name, port index) order — and every resolved port's rank among them.
+func (pl *archPlan) rank() {
+	pl.ranked = true
+	pl.keys = pl.keys[:0]
+	for _, op := range loops.AllOperands {
+		for lev, mem := range pl.chains[op] {
+			for _, r := range pl.refs[op][lev] {
+				if k := (groupKey{mem: mem.Name, port: r.idx}); r.err == nil && !slices.Contains(pl.keys, k) {
+					pl.keys = append(pl.keys, k)
+				}
+			}
+		}
+	}
+	slices.SortFunc(pl.keys, func(x, y groupKey) int {
+		return cmp.Or(strings.Compare(x.mem, y.mem), cmp.Compare(x.port, y.port))
+	})
+	for _, op := range loops.AllOperands {
+		for lev, mem := range pl.chains[op] {
+			for dir := range pl.refs[op][lev] {
+				if r := &pl.refs[op][lev][dir]; r.err == nil {
+					r.rank = slices.Index(pl.keys, groupKey{mem: mem.Name, port: r.idx})
+				}
+			}
+		}
+	}
+}
+
+// hopCC is the time to move elems elements of an operand of the given bit
+// width from the port behind rd to the port behind wr: whole cycles at the
+// slower of the two bandwidths, and 0 when either access has no port.
+func hopCC(rd, wr *portRef, bits float64, elems int64) float64 {
+	if rd.err != nil || wr.err != nil {
+		return 0
+	}
+	bw := float64(rd.port.BWBits)
+	if float64(wr.port.BWBits) < bw {
+		bw = float64(wr.port.BWBits)
+	}
+	return math.Ceil(float64(elems) * bits / bw)
+}
+
+// planFor returns the plan of architecture a, resolving it when a differs
+// from the last one seen.
+func (ev *Evaluator) planFor(a *arch.Arch) *archPlan {
+	if ev.plan.arch != a {
+		ev.plan.resolve(a)
+	}
+	return &ev.plan
+}
+
+// rankedPlan is planFor with the port ranks filled and the per-rank
+// scratch sized.
+func (ev *Evaluator) rankedPlan(a *arch.Arch) *archPlan {
+	pl := ev.planFor(a)
+	if !pl.ranked {
+		pl.rank()
+		n := len(pl.keys)
+		if cap(ev.busy) < n {
+			ev.busy = make([]float64, n)
+			ints := make([]int, 2*n)
+			ev.gcount, ev.gnext = ints[:n:n], ints[n:]
+		}
+		ev.busy, ev.gcount, ev.gnext = ev.busy[:n], ev.gcount[:n], ev.gnext[:n]
+	}
+	return pl
 }
 
 // Evaluate runs the full 3-step latency model with diagnostics, like the
@@ -168,6 +276,7 @@ func (ev *Evaluator) ScoreLatency(p *Problem) (float64, error) {
 // objective mapping searches. For the bandwidth-unaware model the bound IS
 // the result (bit-identical to EvaluateBWUnaware(p).CCTotal).
 func (ev *Evaluator) LowerBound(p *Problem) float64 {
+	ev.opc.ensure(p)
 	pre := ev.preloadCycles(p)
 	post := ev.offloadCycles(p)
 	return float64(p.Mapping.CCSpatial()) + pre + post
@@ -185,10 +294,10 @@ func LowerBound(p *Problem) float64 {
 // Returns the pre-clamp stall/slack.
 func (ev *Evaluator) ssRaw(p *Problem, eps []*Endpoint) float64 {
 	opts := p.opts()
-	ev.groupPorts(eps)
+	ev.groupPorts(p, eps)
 	for i := range ev.groups {
 		g := &ev.groups[i]
-		g.ss, g.muw, g.exact = combineEq(g.eps, opts, &ev.sc)
+		g.ss, g.muw, g.exact = combineEq(ev.members(g), opts, &ev.sc)
 	}
 	ev.reduceMems()
 	ssRaw := integrateValues(ev.mems, p.Arch.Combine)
@@ -200,68 +309,58 @@ func (ev *Evaluator) ssRaw(p *Problem, eps []*Endpoint) float64 {
 	return ssRaw
 }
 
-// groupPorts buckets endpoints by (memory, port index) into ev.groups, then
-// orders the groups canonically (memory name, then port index) so that all
-// downstream float reductions happen in a deterministic order.
-func (ev *Evaluator) groupPorts(eps []*Endpoint) {
-	// Pass 1: discover groups and count members, remembering each
-	// endpoint's group so pass 2 need not search again.
-	ev.groups = ev.groups[:0]
-	ev.gidx = ev.gidx[:0]
-	for _, e := range eps {
-		gi := -1
-		for i := range ev.groups {
-			if ev.groups[i].mem == e.MemName && ev.groups[i].port == e.PortIdx {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
-			ev.groups = append(ev.groups, portGroup{mem: e.MemName, port: e.PortIdx})
-			gi = len(ev.groups) - 1
-		}
-		ev.groups[gi].n++
-		ev.gidx = append(ev.gidx, gi)
+// groupPorts buckets endpoints by physical port into ev.groups, in the
+// canonical order of the plan's ranks (memory name, then port index) so
+// that all downstream float reductions happen in a deterministic order.
+// Members keep endpoint order, and a port no endpoint uses this time (say,
+// a psum read-back port of a nest without read-backs) gets no group.
+func (ev *Evaluator) groupPorts(p *Problem, eps []*Endpoint) {
+	ev.rankedPlan(p.Arch)
+	clear(ev.gcount)
+	for _, r := range ev.eref {
+		ev.gcount[r.rank]++
 	}
-	// Carve every group's endpoint list out of one shared slab, then fill.
 	if cap(ev.gepStore) < len(eps) {
 		ev.gepStore = make([]*Endpoint, len(eps))
 	}
-	slab := ev.gepStore[:len(eps)]
+	ev.gepStore = ev.gepStore[:len(eps)]
+	ev.groups = ev.groups[:0]
 	off := 0
-	for i := range ev.groups {
-		g := &ev.groups[i]
-		g.eps = slab[off : off : off+g.n]
-		off += g.n
+	for r, n := range ev.gcount {
+		if n == 0 {
+			continue
+		}
+		ev.gnext[r] = off
+		ev.groups = append(ev.groups, portGroup{rank: r, lo: off, hi: off + n})
+		off += n
 	}
 	for k, e := range eps {
-		g := &ev.groups[ev.gidx[k]]
-		g.eps = append(g.eps, e)
+		r := ev.eref[k].rank
+		ev.gepStore[ev.gnext[r]] = e
+		ev.gnext[r]++
 	}
-	// Insertion sort: the group count is tiny and this avoids any closure
-	// or interface allocation in the hot path.
-	for i := 1; i < len(ev.groups); i++ {
-		for j := i; j > 0 && (ev.groups[j].mem < ev.groups[j-1].mem ||
-			(ev.groups[j].mem == ev.groups[j-1].mem && ev.groups[j].port < ev.groups[j-1].port)); j-- {
-			ev.groups[j], ev.groups[j-1] = ev.groups[j-1], ev.groups[j]
-		}
-	}
+}
+
+// members returns group g's endpoints.
+func (ev *Evaluator) members(g *portGroup) []*Endpoint {
+	return ev.gepStore[g.lo:g.hi:g.hi]
 }
 
 // reduceMems folds the sorted port groups into one entry per memory module
 // (ports within a module operate concurrently: max). Groups of one module
-// are adjacent after groupPorts' canonical sort.
+// are adjacent in rank order.
 func (ev *Evaluator) reduceMems() {
 	ev.mems = ev.mems[:0]
 	for i := range ev.groups {
 		g := &ev.groups[i]
-		if n := len(ev.mems); n > 0 && ev.mems[n-1].name == g.mem {
+		mem := ev.plan.keys[g.rank].mem
+		if n := len(ev.mems); n > 0 && ev.mems[n-1].name == mem {
 			if g.ss > ev.mems[n-1].ss {
 				ev.mems[n-1].ss = g.ss
 			}
 			continue
 		}
-		ev.mems = append(ev.mems, memEntry{name: g.mem, ss: g.ss})
+		ev.mems = append(ev.mems, memEntry{name: mem, ss: g.ss})
 	}
 }
 
@@ -344,26 +443,27 @@ func (ev *Evaluator) portStalls(p *Problem) []*PortStall {
 	store := make([]PortStall, len(ev.groups))
 	nEps := 0
 	for i := range ev.groups {
-		nEps += len(ev.groups[i].eps)
+		nEps += len(ev.members(&ev.groups[i]))
 	}
 	epBack := make([]*Endpoint, 0, nEps) // one backing array for all copies
 	for i := range ev.groups {
 		g := &ev.groups[i]
-		mem := p.Arch.MemoryByName(g.mem)
+		k := ev.plan.keys[g.rank]
+		mem := p.Arch.MemoryByName(k.mem)
 		start := len(epBack)
-		epBack = append(epBack, g.eps...)
+		epBack = append(epBack, ev.members(g)...)
 		ps := &store[i]
 		*ps = PortStall{
-			MemName:    g.mem,
-			PortIdx:    g.port,
-			PortName:   mem.Ports[g.port].Name,
+			MemName:    k.mem,
+			PortIdx:    k.port,
+			PortName:   mem.Ports[k.port].Name,
 			Endpoints:  epBack[start:len(epBack):len(epBack)],
-			RealBWBits: mem.Ports[g.port].BWBits,
+			RealBWBits: mem.Ports[k.port].BWBits,
 			MUWComb:    g.muw,
 			MUWExact:   g.exact,
 			SSComb:     g.ss,
 		}
-		for _, e := range g.eps {
+		for _, e := range ev.members(g) {
 			if e.Access.Write {
 				ps.ReqBWWriteBits += e.ReqBWBits(prec)
 			} else {
@@ -418,51 +518,44 @@ var preloadOps = [2]loops.Operand{loops.W, loops.I}
 // load concurrently (the phase takes the slowest operand), EXCEPT where
 // their hops read the same physical port — one port moves one tile at a
 // time, so shared-port hop times serialize (the reference simulator's
-// behaviour).
+// behaviour). The op-cache's prefix table must describe p's mapping.
 func (ev *Evaluator) preloadCycles(p *Problem) float64 {
-	ev.busy = ev.busy[:0]
+	pl := ev.rankedPlan(p.Arch)
+	clear(ev.busy)
 	worst := 0.0
 	for _, op := range preloadOps {
 		total := 0.0
-		chain := ev.chainMems(p.Arch, op)
-		for l := 0; l+1 < len(chain); l++ {
-			elems := p.Mapping.MemData(op, l, p.Layer.Strides)
-			cc := hopCycles(p, chain[l+1], chain[l], op, elems)
+		bits := float64(p.Layer.Precision.Bits(op))
+		refs := pl.refs[op]
+		for l := 0; l+1 < len(refs); l++ {
+			rd := &refs[l+1][0]
+			cc := hopCC(rd, &refs[l][1], bits, ev.opc.memData(p.Mapping, op, l))
 			total += cc
-			if _, idx, err := chain[l+1].Port(arch.Access{Operand: op, Write: false}); err == nil {
-				found := false
-				for i := range ev.busy {
-					if ev.busy[i].mem == chain[l+1].Name && ev.busy[i].port == idx {
-						ev.busy[i].cc += cc
-						found = true
-						break
-					}
-				}
-				if !found {
-					ev.busy = append(ev.busy, portBusyCC{mem: chain[l+1].Name, port: idx, cc: cc})
-				}
+			if rd.err == nil {
+				ev.busy[rd.rank] += cc
 			}
 		}
 		if total > worst {
 			worst = total
 		}
 	}
-	for i := range ev.busy {
-		if ev.busy[i].cc > worst {
-			worst = ev.busy[i].cc
+	for _, cc := range ev.busy {
+		if cc > worst {
+			worst = cc
 		}
 	}
 	return worst
 }
 
 // offloadCycles estimates the data offloading phase: the final O tile at
-// each level drains up the chain.
+// each level drains up the chain. The op-cache's prefix table must describe
+// p's mapping.
 func (ev *Evaluator) offloadCycles(p *Problem) float64 {
 	total := 0.0
-	chain := ev.chainMems(p.Arch, loops.O)
-	for l := 0; l+1 < len(chain); l++ {
-		elems := p.Mapping.MemData(loops.O, l, p.Layer.Strides)
-		total += hopCycles(p, chain[l], chain[l+1], loops.O, elems)
+	bits := float64(p.Layer.Precision.Bits(loops.O))
+	refs := ev.planFor(p.Arch).refs[loops.O]
+	for l := 0; l+1 < len(refs); l++ {
+		total += hopCC(&refs[l][0], &refs[l+1][1], bits, ev.opc.memData(p.Mapping, loops.O, l))
 	}
 	return total
 }
@@ -499,21 +592,25 @@ func (ev *Evaluator) buildEndpoints(p *Problem) ([]*Endpoint, error) {
 	}
 	if cap(ev.eps) < bound {
 		ev.eps = make([]*Endpoint, 0, bound)
+		ev.eref = make([]*portRef, 0, bound)
 	}
 	ev.epStore = ev.epStore[:0]
 	ev.eps = ev.eps[:0]
+	ev.eref = ev.eref[:0]
 
 	prec := p.Layer.Precision
+	pl := ev.planFor(p.Arch)
 	ev.opc.ensure(p)
 
 	for _, op := range loops.AllOperands {
-		chain := ev.chainMems(p.Arch, op)
+		chain := pl.chains[op]
 		if len(chain) < 2 {
 			continue
 		}
 		quants := ev.opc.quants(p, op, chain)
+		refs := pl.refs[op]
 		for l := 0; l+1 < len(chain); l++ {
-			lower, upper := chain[l], chain[l+1]
+			lower, upper := l, l+1
 			q := &quants[l]
 			memData, memCC, z, topRun := q.memData, q.memCC, q.z, q.topRun
 			if q.bad {
@@ -522,12 +619,16 @@ func (ev *Evaluator) buildEndpoints(p *Problem) ([]*Endpoint, error) {
 			xReq := memCC / topRun
 			win := periodic.Tail(memCC, xReq, z)
 
-			mk := func(mem *arch.Memory, write bool, kind LinkKind, zz int64) (*Endpoint, error) {
-				acc := arch.Access{Operand: op, Write: write}
-				port, idx, err := mem.Port(acc)
-				if err != nil {
-					return nil, err
+			mk := func(lev int, write bool, kind LinkKind, zz int64) (*Endpoint, error) {
+				dir := 0
+				if write {
+					dir = 1
 				}
+				r := &refs[lev][dir]
+				if r.err != nil {
+					return nil, r.err
+				}
+				port := r.port
 				bits := int64(prec.Bits(op))
 				realBW := float64(port.BWBits) / float64(bits)
 				w := win
@@ -541,7 +642,7 @@ func (ev *Evaluator) buildEndpoints(p *Problem) ([]*Endpoint, error) {
 				}
 				ev.epStore = append(ev.epStore, Endpoint{
 					Operand: op, Level: l, Kind: kind,
-					MemName: mem.Name, Access: acc, PortIdx: idx,
+					MemName: chain[lev].Name, Access: arch.Access{Operand: op, Write: write}, PortIdx: r.idx,
 					MemData: memData, MemCC: memCC, Z: zz, TopRun: topRun,
 					ReqBWElems:  float64(memData) * float64(topRun) / float64(memCC),
 					RealBWElems: realBW,
@@ -553,6 +654,7 @@ func (ev *Evaluator) buildEndpoints(p *Problem) ([]*Endpoint, error) {
 				ep.MUW = float64(ep.XReq) * float64(zz)
 				ep.SSu = (ep.XReal - float64(ep.XReq)) * float64(zz)
 				ev.eps = append(ev.eps, ep)
+				ev.eref = append(ev.eref, r)
 				return ep, nil
 			}
 

@@ -2,11 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
-
-	"repro/internal/arch"
-	"repro/internal/loops"
 )
 
 // Scenario classifies the computation phase per paper Fig. 1(b).
@@ -80,25 +76,6 @@ type Result struct {
 func Evaluate(p *Problem) (*Result, error) {
 	var ev Evaluator
 	return ev.Evaluate(p)
-}
-
-// hopCycles is the time to move elems elements of op from src (read) to dst
-// (write), limited by the slower port.
-func hopCycles(p *Problem, src, dst *arch.Memory, op loops.Operand, elems int64) float64 {
-	bits := float64(p.Layer.Precision.Bits(op))
-	rp, _, err := src.Port(arch.Access{Operand: op, Write: false})
-	if err != nil {
-		return 0
-	}
-	wp, _, err := dst.Port(arch.Access{Operand: op, Write: true})
-	if err != nil {
-		return 0
-	}
-	bw := float64(rp.BWBits)
-	if float64(wp.BWBits) < bw {
-		bw = float64(wp.BWBits)
-	}
-	return math.Ceil(float64(elems) * bits / bw)
 }
 
 // Report renders a multi-line human-readable breakdown.

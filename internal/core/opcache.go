@@ -22,10 +22,10 @@ import (
 //
 // The cache is scoped to one (layer, arch, spatial unrolling) triple —
 // exactly one mapping search — and resets itself when any of the three
-// changes. Like Evaluator.chainMems it keys on pointer identity for the
-// layer and arch: holding the pointer keeps the object alive, so identity
-// is sound unless a caller mutates a Layer/Arch mid-search (unsupported
-// throughout this repository).
+// changes. Like the Evaluator's architecture plan it keys on pointer
+// identity for the layer and arch: holding the pointer keeps the object
+// alive, so identity is sound unless a caller mutates a Layer/Arch
+// mid-search (unsupported throughout this repository).
 //
 // Cached values are exact integers, so a cache hit is bit-identical to a
 // recomputation by construction (asserted in TestOpCacheBitIdentical).
@@ -48,7 +48,8 @@ type opCache struct {
 	spatial [loops.NumDims]int64
 
 	m      [loops.NumOperands]map[string][]levelQuant
-	pre    loops.PrefixTable // temporal nest of the last keyed mapping, over the spatial products
+	pre    loops.PrefixTable // temporal nest of the last ensured mapping, over the spatial products
+	st     loops.Strides     // the layer's strides, normalized
 	keyBuf []byte
 	qBuf   []levelQuant // scratch for building entries before interning
 
@@ -72,6 +73,7 @@ func (c *opCache) ensure(p *Problem) {
 	sp := p.Mapping.Spatial.DimProduct()
 	if c.layer != p.Layer || c.arch != p.Arch || c.spatial != sp {
 		c.layer, c.arch, c.spatial = p.Layer, p.Arch, sp
+		c.st = p.Layer.Strides.Normalized()
 		for op := range c.m {
 			c.m[op] = nil
 			c.lastKey[op] = c.lastKey[op][:0]
@@ -79,6 +81,16 @@ func (c *opCache) ensure(p *Problem) {
 		}
 	}
 	c.pre.Build(&c.spatial, p.Mapping.Temporal)
+}
+
+// memData returns Mem_DATA of operand op at level l of m — what
+// m.MemData(op, l, strides) computes in O(n) — read off the prefix table in
+// O(1). m must be the mapping ensure last saw. A boundary past the nest
+// panics the way Mapping.MemData does instead of reading a stale row.
+func (c *opCache) memData(m *mapping.Mapping, op loops.Operand, l int) int64 {
+	b := m.Bound[op][l]
+	_ = m.Temporal[:b]
+	return loops.TileElemsNormalized(op, c.pre.Row(b), c.st)
 }
 
 // quants returns the cached Step-1 quantities of operand op for the mapping
@@ -105,14 +117,13 @@ func (c *opCache) quants(p *Problem, op loops.Operand, chain []*arch.Memory) []l
 		return q
 	}
 
-	st := p.Layer.Strides
 	if cap(c.qBuf) < levels-1 {
 		c.qBuf = make([]levelQuant, levels-1)
 	}
 	q := c.qBuf[:levels-1]
 	for l := 0; l+1 < levels; l++ {
 		lq := &q[l]
-		lq.memData = m.MemData(op, l, st)
+		lq.memData = c.memData(m, op, l)
 		lq.memCC = m.MemCC(op, l)
 		lq.z = m.Periods(op, l)
 		lq.topRun = 1

@@ -52,8 +52,9 @@ func (ev *Evaluator) AppendSignature(dst []byte, p *Problem) []byte {
 	m := p.Mapping
 	sp := m.Spatial.DimProduct()
 	ev.opc.pre.Build(&sp, m.Temporal)
+	pl := ev.planFor(p.Arch)
 	for _, op := range loops.AllOperands {
-		dst = AppendOperandKey(dst, &ev.opc.pre, m.Temporal, op, m.Bound[op], ev.chainMems(p.Arch, op))
+		dst = AppendOperandKey(dst, &ev.opc.pre, m.Temporal, op, m.Bound[op], pl.chains[op])
 	}
 	return dst
 }

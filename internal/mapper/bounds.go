@@ -36,6 +36,14 @@ type bounder struct {
 	pre  loops.PrefixTable
 	nest loops.Nest // copy of the nest the table rows describe
 	sig  []byte     // signature scratch
+
+	// What valid checks of a nest beyond its table rows, fixed per search.
+	never  bool                 // the spatial unrolling fails validation: no nest can pass
+	sp     [loops.NumDims]int64 // spatial products
+	extent [loops.NumDims]int64 // layer extents
+	minTp  [loops.NumDims]int64 // minimal temporal coverage per dimension
+	mods   []*arch.Memory       // modules holding a non-top level, first use first
+	need   []int64              // valid's per-module footprint scratch
 }
 
 // opBounds is one operand's part of a bounder.
@@ -53,6 +61,8 @@ type opBounds struct {
 	decide  []int
 	decided int
 	failed  bool
+
+	mods []int // bounder.mods index of each non-top level's module
 }
 
 // reset scopes the bounder to a search, keeping its storage.
@@ -76,9 +86,36 @@ func (b *bounder) reset(l *workload.Layer, a *arch.Arch, spatial loops.Nest) {
 		}
 		o.decided, o.failed = 0, false
 	}
-	sp := spatial.DimProduct()
-	b.pre.Build(&sp, nil)
+	b.sp = spatial.DimProduct()
+	b.pre.Build(&b.sp, nil)
 	b.nest = b.nest[:0]
+
+	b.never = spatial.Validate() != nil || spatial.Product() > a.MACs
+	for _, d := range loops.AllDims {
+		b.extent[d] = l.Dim(d)
+		if !b.never {
+			b.minTp[d] = loops.CeilDiv(l.Dim(d), b.sp[d])
+		}
+	}
+	b.mods = b.mods[:0]
+	for _, op := range loops.AllOperands {
+		o := &b.ops[op]
+		o.mods = o.mods[:0]
+		for _, mem := range o.chain[:max(len(o.chain)-1, 0)] {
+			i := 0
+			for i < len(b.mods) && b.mods[i] != mem {
+				i++
+			}
+			if i == len(b.mods) {
+				b.mods = append(b.mods, mem)
+			}
+			o.mods = append(o.mods, i)
+		}
+	}
+	if cap(b.need) < len(b.mods) {
+		b.need = make([]int64, len(b.mods))
+	}
+	b.need = b.need[:len(b.mods)]
 }
 
 // assign computes nest's level boundaries (bounds). It returns false when
@@ -175,6 +212,39 @@ func (b *bounder) scan(o *opBounds, lev, r, n int) int {
 // tile returns the bits of operand o's tile at boundary row.
 func (b *bounder) tile(o *opBounds, row int) int64 {
 	return loops.TileElemsNormalized(o.op, b.pre.Row(row), b.st) * o.bits
+}
+
+// valid reports whether the nest just assigned (successfully) passes
+// mapping.Mapping.Validate with the assigned boundaries — the same verdict,
+// read off the table: coverage and the under-2x padding rule from the
+// whole nest's row, each module's footprint as the sum of its levels'
+// tiles, and the spatial checks decided once per search. The boundaries
+// satisfy Validate's shape checks by construction, and the loop sizes are
+// positive (the table's precondition).
+func (b *bounder) valid() bool {
+	if b.never {
+		return false
+	}
+	row := b.pre.Row(len(b.nest))
+	for d := range row {
+		tp := row[d] / b.sp[d]
+		if tp*b.sp[d] < b.extent[d] || tp >= 2*b.minTp[d] {
+			return false
+		}
+	}
+	clear(b.need)
+	for op := range b.ops {
+		o := &b.ops[op]
+		for lev, mod := range o.mods {
+			b.need[mod] += b.tile(o, o.bounds[lev])
+		}
+	}
+	for i, bits := range b.need {
+		if bits > b.mods[i].MapperCapacityBits() {
+			return false
+		}
+	}
+	return true
 }
 
 // signature returns the model-equivalence signature of the nest just

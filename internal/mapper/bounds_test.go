@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -90,6 +91,9 @@ func (rc *referenceChecker) check(nest loops.Nest) error {
 	if !bytes.Equal(sig, rc.sig) {
 		return fmt.Errorf("nest %s: signature %x, core.AppendSignature %x", nest, sig, rc.sig)
 	}
+	if err := rc.ref.Validate(rc.l, rc.a); rc.canon.b.valid() != (err == nil) {
+		return fmt.Errorf("nest %s: bounder valid=%v, Validate: %v", nest, rc.canon.b.valid(), err)
+	}
 	return nil
 }
 
@@ -143,14 +147,106 @@ func TestBounderMatchesReference(t *testing.T) {
 	t.Logf("%d orderings over %d spaces agree with the reference", total, len(spaces))
 }
 
+// TestBounderValidMatchesValidate walks the BenchmarkGenerateOnly space and
+// every ResNet-18 and MobileNetV2 layer at budget 6000 on four presets,
+// plus a TPU-like system whose shared unified buffer is shrunk until
+// operands that each fit alone overflow it together, and requires the
+// bounder's table-based validity verdict to equal mapping.Validate's on
+// every ordering whose boundaries assign, and on over- and under-covering
+// variants of every fourth one.
+func TestBounderValidMatchesValidate(t *testing.T) {
+	type space struct {
+		l       workload.Layer
+		a       *arch.Arch
+		spatial loops.Nest
+		budget  int
+	}
+	small := arch.TPULike()
+	small.Name = "tpulike-smallub"
+	small.MemoryByName("UB").CapacityBits = 24 * 1024
+	presets := []struct {
+		a       *arch.Arch
+		spatial loops.Nest
+	}{
+		{arch.InHouse(), arch.InHouseSpatial()},
+		{arch.CaseStudy(), arch.CaseStudySpatial()},
+		{arch.RowStationary(), arch.RowStationarySpatial()},
+		{arch.TPULike(), arch.TPULikeSpatial()},
+		{small, arch.TPULikeSpatial()},
+	}
+	spaces := []space{{workload.NewMatMul("gen", 128, 128, 128), arch.CaseStudy(), arch.CaseStudySpatial(), 20000}}
+	layers := append(workload.ResNet18Suite(), workload.MobileNetV2Suite()...)
+	unique, _, _ := workload.DedupLayers(layers)
+	for _, p := range presets {
+		for _, l := range unique {
+			if l.Kind.Elementwise() {
+				continue
+			}
+			search := workload.Im2Col(l)
+			search.Heads = 0
+			spaces = append(spaces, space{search, p.a, p.spatial, 6000})
+		}
+	}
+	var total, valid, sumRejects, covRejects int
+	for _, sp := range spaces {
+		c := newCanonicalizer(&sp.l, sp.a, sp.spatial)
+		var err error
+		check := func(nest loops.Nest) {
+			if err != nil || !c.mapNest(nest) {
+				return
+			}
+			total++
+			verr := c.m.Validate(&sp.l, sp.a)
+			if got := c.b.valid(); got != (verr == nil) {
+				err = fmt.Errorf("nest %s: bounder valid=%v, Validate: %v", nest, got, verr)
+				return
+			}
+			switch {
+			case verr == nil:
+				valid++
+			case strings.Contains(verr.Error(), "covered"):
+				covRejects++
+			case sp.a == small && strings.Contains(verr.Error(), `"UB" needs`):
+				sumRejects++
+			}
+		}
+		var off loops.Nest
+		walkAll(&sp.l, sp.a, Options{Spatial: sp.spatial, BWAware: true, MaxCandidates: sp.budget}, func(nest loops.Nest) {
+			check(nest)
+			if total%4 != 0 || len(nest) == 0 {
+				return
+			}
+			// Two nests off the walk, which never over- or under-covers a
+			// dimension: the outermost loop doubled (exactly twice the
+			// minimal coverage when the walk did not pad its dimension),
+			// and the outermost loop dropped.
+			off = append(off[:0], nest...)
+			off[len(off)-1].Size *= 2
+			check(off)
+			check(nest[:len(nest)-1])
+		})
+		if err != nil {
+			t.Fatalf("%s on %s: %v", sp.l.Name, sp.a.Name, err)
+		}
+	}
+	if covRejects == 0 {
+		t.Error("no nest was rejected on coverage")
+	}
+	if sumRejects == 0 {
+		t.Error("the shrunk unified buffer never rejected a nest on the summed footprint")
+	}
+	t.Logf("%d nests over %d spaces (%d valid, %d rejected on coverage, %d on the shared buffer's sum) agree with Validate",
+		total, len(spaces), valid, covRejects, sumRejects)
+}
+
 // FuzzAssignBounds draws a layer (dims and strides), an architecture preset
 // and a split of every dimension, then walks a sequence of orderings —
 // swaps biased to the outer end as the permutation walk makes them,
 // re-splits of the outermost dimension, now and then a fresh split, and
 // between them unsigned assignments the way the generator's probes
 // interleave — through one canonicalizer, checking each
-// signed ordering against the reference boundaries and
-// core.AppendSignature.
+// signed ordering against the reference boundaries, core.AppendSignature
+// and mapping.Validate's verdict.
 func FuzzAssignBounds(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint8(16), uint8(32), uint8(64), uint8(7), uint8(7), uint8(3), uint8(3), uint8(1))
 	f.Add(uint8(1), uint64(7), uint8(1), uint8(64), uint8(3), uint8(28), uint8(28), uint8(5), uint8(5), uint8(2))

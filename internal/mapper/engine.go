@@ -834,14 +834,11 @@ func (w *worker) processBatch(bt *jobBatch) {
 			slot.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &slot.m}
 		}
 		slot.m.Temporal = j.nest
-		if !s.b.assign(j.nest) {
+		if !s.b.assign(j.nest) || !s.b.valid() {
 			continue
 		}
 		for op := range s.b.ops {
 			slot.m.Bound[op] = append(slot.m.Bound[op][:0], s.b.ops[op].bounds...)
-		}
-		if slot.m.Validate(e.l, e.a) != nil {
-			continue
 		}
 		w.valid++
 		if e.collectSeqs {
@@ -899,13 +896,10 @@ func (w *worker) process(j job) {
 	o := e.o
 	seq, nest := j.seq, j.nest
 	w.m.Temporal = nest
-	if !w.s.b.assign(nest) {
+	if !w.s.b.assign(nest) || !w.s.b.valid() {
 		return
 	}
 	w.s.b.bounds(&w.m)
-	if w.m.Validate(e.l, e.a) != nil {
-		return
-	}
 
 	if e.mode == modeAll || o.Objective == MinEnergy || o.Objective == MinEDP {
 		// Enumeration and energy objectives need the materialized result

@@ -27,8 +27,6 @@ import (
 // is carried along the walk (bounds.go). Not safe for concurrent use; the
 // generator owns one, each annealing chain owns one.
 type canonicalizer struct {
-	l    *workload.Layer
-	a    *arch.Arch
 	b    bounder
 	m    mapping.Mapping
 	prob core.Problem
@@ -37,7 +35,7 @@ type canonicalizer struct {
 }
 
 func newCanonicalizer(l *workload.Layer, a *arch.Arch, spatial loops.Nest) *canonicalizer {
-	c := &canonicalizer{l: l, a: a}
+	c := &canonicalizer{}
 	c.b.reset(l, a, spatial)
 	c.m.Spatial = spatial
 	c.prob = core.Problem{Layer: l, Arch: a, Mapping: &c.m}
@@ -91,13 +89,10 @@ func (c *canonicalizer) mapNest(nest loops.Nest) bool {
 }
 
 // score evaluates nest exactly the way the search workers do — greedy
-// bounds, validation, then the full model (bwAware) or the baseline — and
-// reports whether the nest is a valid mapping at all.
+// bounds, the table's validity check, then the full model (bwAware) or the
+// baseline — and reports whether the nest is a valid mapping at all.
 func (c *canonicalizer) score(nest loops.Nest, bwAware bool) (float64, bool) {
-	if !c.mapNest(nest) {
-		return 0, false
-	}
-	if c.m.Validate(c.l, c.a) != nil {
+	if !c.mapNest(nest) || !c.b.valid() {
 		return 0, false
 	}
 	if !bwAware {

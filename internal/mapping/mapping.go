@@ -198,27 +198,57 @@ func (m *Mapping) Validate(l *workload.Layer, a *arch.Arch) error {
 	// physical module. The TOP level of each operand's chain is exempt —
 	// layer data streams into it from off-chip, so it holds working tiles
 	// rather than whole operands (the paper's 1MB GB runs layers whose
-	// footprint exceeds it).
-	need := map[string]int64{}
+	// footprint exceeds it). Modules are checked in the order of their
+	// first non-top chain level (operands in AllOperands order, levels
+	// innermost first), so the reported overflow is always the same one.
 	for _, op := range loops.AllOperands {
-		for lev, memName := range a.Chain[op] {
-			if lev == len(a.Chain[op])-1 {
+		for lev, name := range a.Chain[op] {
+			if lev == len(a.Chain[op])-1 || m.seenBelow(a, op, lev) {
 				continue
 			}
-			bits := m.MemData(op, lev, l.Strides) * int64(l.Precision.Bits(op))
-			need[memName] += bits
-		}
-	}
-	for name, bits := range need {
-		mem := a.MemoryByName(name)
-		if mem == nil {
-			return fmt.Errorf("mapping: chain references unknown memory %q", name)
-		}
-		if bits > mem.MapperCapacityBits() {
-			return fmt.Errorf("mapping: memory %q needs %d bits > mapper-visible capacity %d", name, bits, mem.MapperCapacityBits())
+			mem := a.MemoryByName(name)
+			if mem == nil {
+				return fmt.Errorf("mapping: chain references unknown memory %q", name)
+			}
+			if bits := m.footprint(l, a, name); bits > mem.MapperCapacityBits() {
+				return fmt.Errorf("mapping: memory %q needs %d bits > mapper-visible capacity %d", name, bits, mem.MapperCapacityBits())
+			}
 		}
 	}
 	return nil
+}
+
+// seenBelow reports whether the module at non-top level lev of op's chain
+// also holds an earlier non-top level in Validate's visiting order.
+func (m *Mapping) seenBelow(a *arch.Arch, op loops.Operand, lev int) bool {
+	name := a.Chain[op][lev]
+	for _, o := range loops.AllOperands {
+		chain := a.Chain[o]
+		for i, n := range chain[:len(chain)-1] {
+			if o == op && i == lev {
+				return false
+			}
+			if n == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// footprint sums the resident bits of every operand's non-top levels held
+// in the named module.
+func (m *Mapping) footprint(l *workload.Layer, a *arch.Arch, name string) int64 {
+	var bits int64
+	for _, op := range loops.AllOperands {
+		chain := a.Chain[op]
+		for lev, n := range chain[:len(chain)-1] {
+			if n == name {
+				bits += m.MemData(op, lev, l.Strides) * int64(l.Precision.Bits(op))
+			}
+		}
+	}
+	return bits
 }
 
 // String renders the mapping with per-operand level splits, e.g.

@@ -299,3 +299,35 @@ func TestMappingInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateNoAlloc: Validate runs on every materialized candidate and
+// every fixed-mapping request, so a passing check allocates nothing.
+func TestValidateNoAlloc(t *testing.T) {
+	for name, mk := range map[string]func() (*Mapping, *workload.Layer, *arch.Arch){
+		"matmul": testMapping, "conv": convMapping,
+	} {
+		m, l, a := mk()
+		if err := m.Validate(l, a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = m.Validate(l, a) }); n != 0 {
+			t.Errorf("%s: Validate allocates %v times per call", name, n)
+		}
+	}
+}
+
+// TestValidateOverflowOrder: when two modules overflow, Validate reports
+// the one whose first non-top chain level comes first (W's chain before
+// I's), on every call.
+func TestValidateOverflowOrder(t *testing.T) {
+	m, l, a := testMapping()
+	a.MemoryByName("W-LB").CapacityBits = 64 // W tile at LB needs 32*4*8 bits
+	a.MemoryByName("I-LB").CapacityBits = 64 // I tile at LB needs 16*8*8 bits
+	const want = `mapping: memory "W-LB" needs 1024 bits > mapper-visible capacity 32`
+	for i := 0; i < 200; i++ {
+		err := m.Validate(l, a)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %s", i, err, want)
+		}
+	}
+}
