@@ -19,8 +19,8 @@ import (
 )
 
 // Benchmarks for the extension modules beyond the paper's figures: the
-// cross-layer network model, sensitivity analysis, the joint
-// spatial+temporal search, and the analysis utilities.
+// cross-layer network model, sensitivity analysis and the analysis
+// utilities.
 
 func benchNet() *network.Network {
 	return &network.Network{
@@ -191,21 +191,6 @@ func BenchmarkSensitivityTornado(b *testing.B) {
 		top = effects[0]
 	}
 	b.ReportMetric(top.Swing, "top-swing-cc")
-}
-
-// BenchmarkSpatialSearch measures the joint spatial+temporal search.
-func BenchmarkSpatialSearch(b *testing.B) {
-	l := workload.NewMatMul("s", 48, 48, 48)
-	hw := arch.CaseStudy()
-	for i := 0; i < b.N; i++ {
-		_, _, _, err := mapper.BestWithSpatial(context.Background(), &l, hw, &mapper.SpatialOptions{
-			MaxSpatials: 6,
-			Temporal:    mapper.Options{BWAware: true, MaxCandidates: 400},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationSimArbitration contrasts the simulator's EDF scheduler

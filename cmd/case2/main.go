@@ -22,7 +22,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "CSV output")
 		grid     = flag.Bool("grid", false, "full BxKxC grid with a discrepancy heatmap")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
-		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -42,7 +41,7 @@ func main() {
 	if *grid {
 		extents := []int64{8, 32, 128, 512}
 		cells, err := experiments.Case2Grid(extents, &experiments.Case2Options{
-			MaxCandidates: *budget / 4, NoReduce: *nosym,
+			MaxCandidates: *budget / 4,
 		})
 		if err != nil {
 			fatal("%v", err)
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 
-	rows, err := experiments.Case2(&experiments.Case2Options{MaxCandidates: *budget, NoReduce: *nosym})
+	rows, err := experiments.Case2(&experiments.Case2Options{MaxCandidates: *budget})
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -25,7 +25,6 @@ func main() {
 		plot     = flag.Bool("plot", true, "ASCII scatter plots")
 		csv      = flag.Bool("csv", false, "CSV of all points")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
-		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -43,7 +42,7 @@ func main() {
 	defer func() { fmt.Println(memo.Default.Counters()) }()
 
 	r, err := experiments.Case3(&experiments.Case3Options{
-		Quick: *quick, MaxCandidates: *budget, NoReduce: *nosym,
+		Quick: *quick, MaxCandidates: *budget,
 	})
 	if err != nil {
 		fatal("%v", err)

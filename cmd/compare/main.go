@@ -34,7 +34,6 @@ func main() {
 		fx       = flag.Int64("fx", 3, "filter cols")
 		budget   = flag.Int("budget", 8000, "mapping search budget per architecture")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
-		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
 	)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
@@ -76,7 +75,7 @@ func main() {
 			layer = workload.Im2Col(conv)
 		}
 		best, _, err := mapper.BestCached(context.Background(), &layer, p.hw, &mapper.Options{
-			Spatial: p.spatial, BWAware: true, MaxCandidates: *budget, NoReduce: *nosym,
+			Spatial: p.spatial, BWAware: true, MaxCandidates: *budget,
 		})
 		if err != nil {
 			tb.Add(p.hw.Name, p.hw.MACs, "unmappable", "-", "-", "-", "-")

@@ -71,7 +71,6 @@ func main() {
 		jsonOut  = flag.String("json", "", "write the evaluation summary as JSON to this file")
 		spatial  = flag.String("spatial", "", "override spatial unrolling, e.g. \"K 16 | B 8 | C 2\"")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
-		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
 		explain  = flag.Bool("explain", false, "print the stall-attribution explainer (per-DTL stalls, critical chain)")
 		explJSON = flag.String("explainjson", "", "write the full explainer report as JSON to this file")
 		traceOut = flag.String("tracejson", "", "write a Chrome/Perfetto trace-event file of the port timelines to this file")
@@ -193,7 +192,7 @@ func main() {
 	} else if *anneal {
 		var err error
 		best, err = mapper.AnnealCached(context.Background(), &layer, hw, &mapper.AnnealOptions{
-			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, NoReduce: *nosym, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, Hooks: hooks,
 		})
 		if err != nil {
 			fatal("annealing: %v", err)
@@ -204,7 +203,7 @@ func main() {
 		var stats *mapper.Stats
 		var err error
 		opt := &mapper.Options{
-			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, NoReduce: *nosym, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, Hooks: hooks,
 		}
 		var run mapper.SearchFunc
 		var steals atomic.Int64

@@ -42,7 +42,6 @@ func main() {
 		scaling  = flag.Bool("scaling", false, "print the 1..cores strong-scaling curve")
 		objName  = flag.String("objective", "latency", "per-layer mapping objective: latency|energy|edp")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
-		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
 		explain  = flag.Bool("explain", false, "print the per-layer critical-DTL table (stall attribution)")
 	)
 	flag.Parse()
@@ -133,7 +132,6 @@ func main() {
 		Objective:     obj,
 		NoPrefetch:    *noPre,
 		PlanGB:        *planGB,
-		NoReduce:      *nosym,
 	}
 	if *scaling {
 		curve, err := network.ScalingCurve(context.Background(), net, hw, sp, *cores, &network.MultiCoreOptions{

@@ -65,9 +65,6 @@ type Config struct {
 	Layer workload.Layer
 	// MaxCandidates bounds the per-point mapping search.
 	MaxCandidates int
-	// NoReduce disables the symmetry-reduced enumeration in the per-point
-	// searches; results are identical, only search time changes.
-	NoReduce bool
 	// Workers bounds parallelism: 0 draws from the shared process-wide
 	// worker budget (package par), n >= 1 forces exactly n workers.
 	Workers int
@@ -234,7 +231,6 @@ func Sweep(ctx context.Context, cfg *Config) ([]Point, error) {
 			BWAware:       cfg.BWAware,
 			Pow2Splits:    true,
 			MaxCandidates: cfg.MaxCandidates,
-			NoReduce:      cfg.NoReduce,
 		})
 		if err == nil {
 			pt.Latency = best.Result.CCTotal

@@ -36,9 +36,6 @@ type Case2Row struct {
 // Case2Options tunes the sweep.
 type Case2Options struct {
 	MaxCandidates int // per-layer mapping search budget (default 20000)
-	// NoReduce disables the symmetry-reduced enumeration in the per-layer
-	// searches; results are identical, only search time changes.
-	NoReduce bool
 }
 
 // Case2 reproduces Fig. 7: sweep the (B, K, C) layer grid on the fixed
@@ -59,7 +56,7 @@ func Case2(opt *Case2Options) ([]Case2Row, error) {
 	for _, l := range workload.Case2Sweep() {
 		layer := l
 		best, _, err := mapper.BestCached(context.Background(), &layer, hw, &mapper.Options{
-			Spatial: sp, BWAware: true, MaxCandidates: maxCand, NoReduce: opt.NoReduce,
+			Spatial: sp, BWAware: true, MaxCandidates: maxCand,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("case2: %s: %w", l.Name, err)

@@ -56,7 +56,7 @@ func Case2Grid(extents []int64, opt *Case2Options) ([]GridCell, error) {
 			cell.B, cell.K, cell.C)
 		best, _, err := mapper.BestCached(context.Background(), &l, hw, &mapper.Options{
 			Spatial: sp, BWAware: true, Pow2Splits: true,
-			MaxCandidates: maxCandidates, NoReduce: opt.NoReduce,
+			MaxCandidates: maxCandidates,
 		})
 		if err != nil {
 			errs[i] = fmt.Errorf("case2grid %s: %w", l.Name, err)

@@ -22,9 +22,6 @@ type Case3Options struct {
 	Quick bool
 	// MaxCandidates bounds the per-point mapping search.
 	MaxCandidates int
-	// NoReduce disables the symmetry-reduced enumeration in the per-point
-	// searches; results are identical, only search time changes.
-	NoReduce bool
 }
 
 // Case3 reproduces Fig. 8: sweep the architecture pool under the three
@@ -44,7 +41,6 @@ func Case3(opt *Case3Options) (*Case3Result, error) {
 		if opt.MaxCandidates > 0 {
 			cfg.MaxCandidates = opt.MaxCandidates
 		}
-		cfg.NoReduce = opt.NoReduce
 		return cfg, nil
 	}
 	out := &Case3Result{}

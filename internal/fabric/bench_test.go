@@ -96,7 +96,7 @@ func benchShardWork(b *testing.B, layer workload.Layer, mo *mapper.Options) {
 				var crit time.Duration
 				for _, spec := range plan.Specs {
 					t0 := time.Now()
-					if _, err := mapper.BestShard(context.Background(), &layer, hw, mo, spec); err != nil {
+					if _, err := mapper.BestShardControlled(context.Background(), &layer, hw, mo, spec, nil); err != nil {
 						b.Fatal(err)
 					}
 					if d := time.Since(t0); d > crit {

@@ -7,9 +7,12 @@ package fabric_test
 // package because the serving side imports fabric.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -19,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/mapper"
 	"repro/internal/serve"
@@ -249,6 +253,31 @@ func TestSearchViaServeEndpoint(t *testing.T) {
 			cand.Mapping.Temporal.String(), cand.Result.CCTotal, ref.Mapping.Temporal.String(), ref.Result.CCTotal)
 	}
 	_ = stats
+}
+
+// TestShardRejectsMaxSplits: a shard request carries max_splits_per_dim on
+// the wire, so a node rejects a value the walk cannot honour exactly as the
+// local engine does, naming it, instead of walking the two-loop space.
+func TestShardRejectsMaxSplits(t *testing.T) {
+	node := quietServer(t)
+	body, err := json.Marshal(&fabric.ShardRequest{
+		Arch:            "casestudy",
+		Layer:           config.Layer{Name: "m", Kind: "matmul", Dims: map[string]int64{"B": 16, "K": 32, "C": 32}},
+		MaxSplitsPerDim: 3,
+		Shard:           mapper.ShardSpec{Depth: 1, Lo: 0, Hi: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(node.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "MaxSplitsPerDim 3") {
+		t.Fatalf("shard with max_splits_per_dim 3: status %d body %s, want 422 naming MaxSplitsPerDim 3", resp.StatusCode, msg)
+	}
 }
 
 // TestSearchCancellation: canceling mid-search aborts promptly with the

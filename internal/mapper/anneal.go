@@ -36,13 +36,6 @@ type AnnealOptions struct {
 	Objective Objective
 	// BWAware selects the model.
 	BWAware bool
-	// NoReduce disables the per-chain signature cache — the annealing
-	// analogue of Options.NoReduce: with it every neighbour is re-scored
-	// even when model-equivalent to an earlier state. Scores, and with
-	// them the whole accept/reject trajectory, are identical either way;
-	// a reduced run may return a model-equivalent permutation of the
-	// unreduced winner (same score, possibly reordered loops).
-	NoReduce bool
 	// Hooks receives telemetry: an "anneal" phase timing for the whole
 	// call plus periodic per-chain progress. Nil disables telemetry; with
 	// hooks installed the consumed rng streams — and therefore the result
@@ -84,7 +77,7 @@ func Anneal(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *AnnealOpt
 	if seed == 0 {
 		seed = 1
 	}
-	evalOpts := &Options{Spatial: opt.Spatial, BWAware: opt.BWAware, Objective: opt.Objective, NoReduce: opt.NoReduce}
+	evalOpts := &Options{Spatial: opt.Spatial, BWAware: opt.BWAware, Objective: opt.Objective}
 
 	// Initial state: one loop per non-trivial dimension, a fixed
 	// reasonable order (C inner, then B, OX, OY, K, FX, FY outer).
@@ -123,27 +116,24 @@ func Anneal(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *AnnealOpt
 	return best, nil
 }
 
-// annealChain runs one Metropolis chain. Unless opts.NoReduce is set, the
-// chain canonicalizes every state by its model-equivalence signature and
-// reuses the evaluation of the class representative — random walks revisit
-// permutation classes constantly, and a signature probe is far cheaper than
-// a full evaluation. Because equivalent states score bit-identically, the
-// Metropolis decisions (and the consumed rng stream) are unchanged.
+// annealChain runs one Metropolis chain. The chain canonicalizes every
+// state by its model-equivalence signature and reuses the evaluation of the
+// class representative — random walks revisit permutation classes
+// constantly, and a signature probe is far cheaper than a full evaluation.
+// Because equivalent states score bit-identically, the Metropolis decisions
+// (and the consumed rng stream) are those of a chain that scores every state.
 func annealChain(ctx context.Context, l *workload.Layer, a *arch.Arch, opts *Options,
 	initial loops.Nest, iters int, temp0 float64, rng *rand.Rand, chain int, hooks *obs.SearchHooks) *Candidate {
-	eval := func(n loops.Nest) *Candidate { return evaluate(l, a, opts, n) }
-	if !opts.NoReduce {
-		canon := newCanonicalizer(l, a, opts.Spatial)
-		cache := make(map[string]*Candidate)
-		eval = func(n loops.Nest) *Candidate {
-			key := string(canon.signature(n))
-			if c, ok := cache[key]; ok {
-				return c
-			}
-			c := evaluate(l, a, opts, n)
-			cache[key] = c
+	canon := newCanonicalizer(l, a, opts.Spatial)
+	cache := make(map[string]*Candidate)
+	eval := func(n loops.Nest) *Candidate {
+		key := string(canon.signature(n))
+		if c, ok := cache[key]; ok {
 			return c
 		}
+		c := evaluate(l, a, opts, n)
+		cache[key] = c
+		return c
 	}
 	cur := initial.Clone()
 	curCand := eval(cur)

@@ -250,9 +250,7 @@ func BestCachedVia(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Op
 
 // annealKey fingerprints an Anneal run: the annealer is seeded and its
 // chains are merged deterministically, so the result is a pure function of
-// these fields. NoReduce is excluded like in bestKey: the signature cache
-// cannot change any score or accept/reject decision, only which member of
-// the winning equivalence class is materialized.
+// these fields.
 func annealKey(l *workload.Layer, a *arch.Arch, o *AnnealOptions) memo.Key {
 	// Mirror Anneal's defaulting so explicit and defaulted options key
 	// identically.

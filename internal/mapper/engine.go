@@ -133,11 +133,8 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := l.Validate(); err != nil {
+	if err := checkSearch(l, o); err != nil {
 		return nil, nil, nil, err
-	}
-	if len(o.Spatial) == 0 {
-		return nil, nil, nil, fmt.Errorf("mapper: no spatial unrolling given")
 	}
 	e := &engine{ctx: ctx, l: l, a: a, o: o, mode: mode, shard: sh}
 	e.prune = mode == modeBest && !o.NoPrune && o.Objective == MinLatency && o.BWAware
@@ -273,6 +270,20 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 		e.hooks.EmitProgress(p)
 	}
 	return best, all, stats, nil
+}
+
+// checkSearch rejects a layer or normalized options no walk can run.
+func checkSearch(l *workload.Layer, o *Options) error {
+	if err := l.Validate(); err != nil {
+		return err
+	}
+	if len(o.Spatial) == 0 {
+		return fmt.Errorf("mapper: no spatial unrolling given")
+	}
+	if o.MaxSplitsPerDim > 2 {
+		return fmt.Errorf("mapper: MaxSplitsPerDim %d: the walk splits a dimension into at most 2 loops", o.MaxSplitsPerDim)
+	}
+	return nil
 }
 
 // walkSpace computes the enumeration geometry: the temporal extent per
@@ -559,11 +570,7 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 				emit(int64(walked-1), nest)
 				return true
 			}
-			if skip > 0 {
-				permuteFrom(blocks, skip, visit)
-			} else {
-				permute(blocks, visit)
-			}
+			permuteFrom(blocks, skip, visit)
 			if ownsStart && v < n {
 				// Exact cap remainder of a leaf whose first position this
 				// shard owns — added even when a boundary or truncation
@@ -687,15 +694,12 @@ type batchSlot struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
 
-// worker holds one evaluation lane: pooled scratch plus a reusable mapping
-// (shared read-only spatial nest, boundaries aliasing the bounder's). The
-// reject path — bounds overflow, validation failure, prune — allocates
-// nothing.
+// worker holds one evaluation lane: pooled scratch plus its share of the
+// reduction. The reject path — bounds overflow, validation failure, prune —
+// allocates nothing.
 type worker struct {
-	e    *engine
-	s    *workerScratch
-	m    mapping.Mapping
-	prob core.Problem
+	e *engine
+	s *workerScratch
 
 	valid  int
 	pruned int
@@ -714,8 +718,6 @@ type worker struct {
 func newWorker(e *engine) *worker {
 	w := &worker{e: e, s: scratchPool.Get().(*workerScratch), bestScore: math.Inf(1), bestSeq: math.MaxInt64}
 	w.s.b.reset(e.l, e.a, e.o.Spatial)
-	w.m.Spatial = e.o.Spatial
-	w.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &w.m}
 	for i := range w.s.slots {
 		// The scratch is pooled across searches: force every batch slot to
 		// re-bind to THIS search's layer/arch/spatial on first use.
@@ -788,7 +790,7 @@ func (w *worker) drain(ch <-chan *jobBatch) {
 func (w *worker) run(bt *jobBatch) {
 	defer batchPool.Put(bt)
 	e := w.e
-	if e.mode == modeBest && e.o.Objective == MinLatency && e.o.BWAware {
+	if e.mode == modeBest && e.o.Objective == MinLatency {
 		w.processBatch(bt)
 		return
 	}
@@ -804,15 +806,16 @@ func (w *worker) run(bt *jobBatch) {
 	}
 }
 
-// processBatch is the latency-objective fast path over one jobBatch: a
+// processBatch is the latency-objective path over one jobBatch: a
 // structure-of-arrays pass that assigns bounds, validates and bound-checks
-// every job first, then scores all survivors in one Evaluator.ScoreBatch
-// call — the slab form that keeps the evaluator's Step-1 and Step-2 memo
-// layers hot across sibling nests. Each score is bit-identical to the
-// per-job ScoreLatency the serial path runs (core.ScoreBatch's contract),
-// Valid counts validations exactly as process does, and the (score, seq)
-// fold is order-independent, so the reduction cannot tell the two paths
-// apart beyond the trajectory-dependent Pruned counter.
+// every job first, then scores all survivors — under the full model in one
+// Evaluator.ScoreBatch call, the slab form that keeps the evaluator's Step-1
+// and Step-2 memo layers hot across sibling nests; under the bandwidth-
+// unaware baseline by its CC_total, which IS the lower-bound expression.
+// Each full-model score is bit-identical to a per-job ScoreLatency
+// (core.ScoreBatch's contract), and the (score, seq) fold is
+// order-independent, so the result and every exact counter are independent
+// of how the walk is batched and of the worker count.
 func (w *worker) processBatch(bt *jobBatch) {
 	e := w.e
 	o := e.o
@@ -866,7 +869,11 @@ func (w *worker) processBatch(bt *jobBatch) {
 		s.outs = make([]float64, len(s.probs))
 	}
 	outs := s.outs[:len(s.probs)]
-	if s.ev.ScoreBatch(s.probs, outs) != nil {
+	if !o.BWAware {
+		for i, p := range s.probs {
+			outs[i] = s.ev.LowerBound(p)
+		}
+	} else if s.ev.ScoreBatch(s.probs, outs) != nil {
 		return // unreachable: the output slab is sized above
 	}
 	for i, score := range outs {
@@ -888,49 +895,21 @@ func (w *worker) processBatch(bt *jobBatch) {
 	}
 }
 
-// process scores one nest. Valid counts mappings that pass validation (and,
-// where a candidate is materialized, evaluation), never depending on the
-// prune trajectory — so Stats.Valid is identical for any worker count.
+// process evaluates one nest for Enumerate and the energy objectives, which
+// need the materialized result (diagnostics / energy) of every valid
+// candidate. Valid counts mappings that pass validation and evaluation, so
+// Stats.Valid is identical for any worker count.
 func (w *worker) process(j job) {
 	e := w.e
 	o := e.o
 	seq, nest := j.seq, j.nest
-	w.m.Temporal = nest
 	if !w.s.b.assign(nest) || !w.s.b.valid() {
 		return
 	}
-	w.s.b.bounds(&w.m)
-
-	if e.mode == modeAll || o.Objective == MinEnergy || o.Objective == MinEDP {
-		// Enumeration and energy objectives need the materialized result
-		// (diagnostics / energy) for every valid candidate anyway.
-		c := evaluate(e.l, e.a, o, nest)
-		if c == nil {
-			return
-		}
-		w.valid++
-		if e.collectSeqs {
-			w.vseqs = append(w.vseqs, seq)
-		}
-		if e.hooks != nil {
-			e.obsValid.Add(1)
-		}
-		s := c.Score(o.Objective)
-		if e.mode == modeAll {
-			w.all = append(w.all, scored{cand: c, score: s, key: c.Mapping.Temporal.String(), seq: seq})
-			return
-		}
-		if w.better(s, seq) {
-			w.best, w.bestScore, w.bestSeq = c, s, seq
-			if e.hooks != nil {
-				e.obsImproved(s, seq)
-			}
-		}
+	c := evaluate(e.l, e.a, o, nest)
+	if c == nil {
 		return
 	}
-
-	// Latency objective: scratch-based scoring, no allocation unless the
-	// candidate improves the worker's best.
 	w.valid++
 	if e.collectSeqs {
 		w.vseqs = append(w.vseqs, seq)
@@ -938,36 +917,15 @@ func (w *worker) process(j job) {
 	if e.hooks != nil {
 		e.obsValid.Add(1)
 	}
-	var score float64
-	if o.BWAware {
-		if e.prune {
-			lb := w.s.ev.LowerBound(&w.prob)
-			if lb > e.loadBest() {
-				w.pruned++
-				if e.hooks != nil {
-					e.obsPruned.Add(1)
-				}
-				return
-			}
-		}
-		s, err := w.s.ev.ScoreLatency(&w.prob)
-		if err != nil {
-			return
-		}
-		score = s
-	} else {
-		// The baseline model's CC_total IS the lower bound expression.
-		score = w.s.ev.LowerBound(&w.prob)
+	s := c.Score(o.Objective)
+	if e.mode == modeAll {
+		w.all = append(w.all, scored{cand: c, score: s, key: c.Mapping.Temporal.String(), seq: seq})
+		return
 	}
-	if w.better(score, seq) {
-		if c := evaluate(e.l, e.a, o, nest); c != nil {
-			w.best, w.bestScore, w.bestSeq = c, score, seq
-			if e.prune {
-				e.lowerBest(score)
-			}
-			if e.hooks != nil {
-				e.obsImproved(score, seq)
-			}
+	if w.better(s, seq) {
+		w.best, w.bestScore, w.bestSeq = c, s, seq
+		if e.hooks != nil {
+			e.obsImproved(s, seq)
 		}
 	}
 }

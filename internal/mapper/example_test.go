@@ -30,23 +30,3 @@ func ExampleBest() {
 	// orderings walked: 4362, scored: 223, valid: 223
 	// best compute cycles: 1024 (utilization 100%)
 }
-
-// ExampleBestWithSpatial searches spatial unrollings jointly with the
-// temporal mapping.
-func ExampleBestWithSpatial() {
-	layer := workload.NewMatMul("fc", 48, 48, 48)
-	hw := arch.CaseStudy()
-	best, spatial, _, err := mapper.BestWithSpatial(context.Background(), &layer, hw, &mapper.SpatialOptions{
-		MaxSpatials: 6,
-		Temporal:    mapper.Options{BWAware: true, MaxCandidates: 600},
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("winning spatial unrolling: %s\n", spatial)
-	fmt.Printf("scenario: %s\n", best.Result.Scenario)
-	// Output:
-	// winning spatial unrolling: [K 16 | B 4 | C 4]
-	// scenario: scenario 1
-}

@@ -43,7 +43,7 @@ type Options struct {
 	// Spatial is the fixed spatial unrolling (required).
 	Spatial loops.Nest
 	// MaxSplitsPerDim bounds how many temporal loops one dimension may be
-	// split into (1 or 2; default 2).
+	// split into (1 or 2; default 2). A search rejects larger values.
 	MaxSplitsPerDim int
 	// Pow2Splits restricts split factors to powers of two (cuts the space
 	// for large prime-rich extents). Default false.
@@ -76,9 +76,11 @@ type Options struct {
 	// NoReduce disables the symmetry reduction (DESIGN.md §9): every
 	// distinct loop ordering is scored instead of one representative per
 	// model-equivalence class. The selected mapping and its score are
-	// bit-identical either way (the reduction is exact); the knob exists
-	// for cross-checking and measurement (-nosym in the cmds). The
-	// Stats counters change meaning with it — see Stats.
+	// bit-identical either way (the reduction is exact), so no front end
+	// exposes it: it serves Case 1's census of every valid ordering
+	// (Enumerate), the shard wire, and the tests that check the reduction
+	// against the unreduced walk. The Stats counters change meaning with
+	// it — see Stats.
 	NoReduce bool
 	// Hooks receives search telemetry (phase timings, periodic progress
 	// snapshots, best-score improvements). Nil — the default — disables
@@ -303,69 +305,34 @@ func dedupSplits(in [][]int64) [][]int64 {
 	return out
 }
 
-// permute visits every distinct ordering of the blocks exactly once; visit
-// returns false to stop the walk (walk budget exhausted). The nest passed to
-// visit is a shared buffer, only valid for the duration of the call.
+// permuteFrom visits the distinct orderings of blocks, starting at the
+// zero-based rank `skip` (loops.RankOrdering's index); visit returns false
+// to stop the walk (walk budget exhausted). The nest passed to visit is a
+// shared buffer, only valid for the duration of the call.
 //
 // Equal blocks are always adjacent in the mapper's multisets — each
 // dimension contributes the parts of ONE split alternative, so equal loops
 // can only be same-dim neighbours — which makes the duplicate-position skip
-// below sufficient for exactness: the walk visits precisely the
+// below sufficient for exactness: a walk from rank 0 visits precisely the
 // loops.DistinctOrderings(blocks) distinct sequences, the identity the
-// engine's Skipped accounting rests on.
-func permute(blocks []loops.Loop, visit func(loops.Nest) bool) {
+// engine's Skipped accounting rests on. A positive skip is arithmetic —
+// loops.UnrankOrdering materializes the target ordering and the recursion
+// re-enters along that path — so resuming a walk mid-multiset costs O(n^2),
+// not O(skip); nothing is visited when skip is at or past the multiset's
+// last ordering. A walk from rank 0 (every search's) ranks nothing.
+func permuteFrom(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
+	var target loops.Nest
+	if skip > 0 {
+		if skip >= loops.DistinctOrderings(blocks) {
+			return
+		}
+		target = loops.UnrankOrdering(blocks, skip)
+	}
 	n := len(blocks)
 	if n == 0 {
 		visit(nil)
 		return
 	}
-	nest := make(loops.Nest, 0, n)
-	used := make([]bool, n)
-	var rec func() bool
-	rec = func() bool {
-		if len(nest) == n {
-			return visit(nest)
-		}
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			// Skip duplicate blocks at the same position.
-			if i > 0 && !used[i-1] && blocks[i] == blocks[i-1] {
-				continue
-			}
-			used[i] = true
-			nest = append(nest, blocks[i])
-			ok := rec()
-			nest = nest[:len(nest)-1]
-			used[i] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec()
-}
-
-// permuteFrom visits the distinct orderings of blocks in the same walk order
-// as permute, starting at the zero-based rank `skip` (loops.RankOrdering's
-// index): permuteFrom(blocks, 0, visit) == permute(blocks, visit), and for
-// any skip the orderings visited are exactly permute's from position skip
-// on. The jump is arithmetic — loops.UnrankOrdering materializes the target
-// ordering and the recursion re-enters along that path — so resuming a walk
-// mid-multiset costs O(n^2), not O(skip). Nothing is visited when skip is at
-// or past the multiset's last ordering.
-func permuteFrom(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
-	if skip <= 0 {
-		permute(blocks, visit)
-		return
-	}
-	if skip >= loops.DistinctOrderings(blocks) {
-		return
-	}
-	target := loops.UnrankOrdering(blocks, skip)
-	n := len(blocks)
 	nest := make(loops.Nest, 0, n)
 	used := make([]bool, n)
 	var rec func(onPath bool) bool
@@ -400,6 +367,7 @@ func permuteFrom(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
 			if used[i] {
 				continue
 			}
+			// Skip duplicate blocks at the same position.
 			if i > 0 && !used[i-1] && blocks[i] == blocks[i-1] {
 				continue
 			}
@@ -414,5 +382,5 @@ func permuteFrom(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
 		}
 		return true
 	}
-	rec(true)
+	rec(skip > 0)
 }

@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -181,12 +182,12 @@ func TestSplits(t *testing.T) {
 func TestPermuteDedup(t *testing.T) {
 	blocks := []loops.Loop{{Dim: loops.C, Size: 2}, {Dim: loops.C, Size: 2}}
 	count := 0
-	permute(blocks, func(loops.Nest) bool { count++; return true })
+	permuteFrom(blocks, 0, func(loops.Nest) bool { count++; return true })
 	if count != 1 {
 		t.Errorf("duplicate blocks gave %d permutations, want 1", count)
 	}
 	var none int
-	permute(nil, func(loops.Nest) bool { none++; return true })
+	permuteFrom(nil, 0, func(loops.Nest) bool { none++; return true })
 	if none != 1 {
 		t.Errorf("empty permute visited %d times", none)
 	}
@@ -212,6 +213,22 @@ func TestBadInputs(t *testing.T) {
 	bad.Dims[loops.C] = -3
 	if _, _, err := Best(context.Background(), &bad, a, opts()); err == nil {
 		t.Error("invalid layer accepted")
+	}
+	// The walk makes at most two loops per dimension: a larger
+	// MaxSplitsPerDim is rejected by name, by the engine and the planner
+	// alike, instead of searching the two-loop space under its own memo key.
+	o := opts()
+	o.MaxSplitsPerDim = 1
+	if _, _, err := Best(context.Background(), &l, a, o); err != nil {
+		t.Errorf("MaxSplitsPerDim 1: %v", err)
+	}
+	o.MaxSplitsPerDim = 3
+	_, _, err := Best(context.Background(), &l, a, o)
+	_, perr := PlanShards(context.Background(), &l, a, o, 2)
+	for _, err := range []error{err, perr} {
+		if err == nil || !strings.Contains(err.Error(), "MaxSplitsPerDim 3") {
+			t.Errorf("MaxSplitsPerDim 3: err = %v, want one naming the value", err)
+		}
 	}
 }
 

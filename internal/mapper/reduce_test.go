@@ -192,22 +192,60 @@ func TestSkippedExactAccounting(t *testing.T) {
 	}
 }
 
+// permuteCases are small block multisets in the walker's shape (equal
+// blocks adjacent), the empty one included.
+var permuteCases = [][]loops.Loop{
+	nil,
+	{{Dim: loops.K, Size: 4}},
+	{{Dim: loops.K, Size: 4}, {Dim: loops.K, Size: 4}},
+	{{Dim: loops.K, Size: 4}, {Dim: loops.K, Size: 4}, {Dim: loops.C, Size: 2}},
+	{{Dim: loops.B, Size: 2}, {Dim: loops.B, Size: 2}, {Dim: loops.K, Size: 3}, {Dim: loops.K, Size: 3}, {Dim: loops.C, Size: 5}},
+	{{Dim: loops.B, Size: 2}, {Dim: loops.K, Size: 3}, {Dim: loops.C, Size: 5}, {Dim: loops.OY, Size: 7}, {Dim: loops.OX, Size: 9}},
+}
+
 // TestDistinctOrderingsMatchesPermute pins the multinomial Skipped
 // arithmetic to the walker it stands in for.
 func TestDistinctOrderingsMatchesPermute(t *testing.T) {
-	cases := [][]loops.Loop{
-		nil,
-		{{Dim: loops.K, Size: 4}},
-		{{Dim: loops.K, Size: 4}, {Dim: loops.K, Size: 4}},
-		{{Dim: loops.K, Size: 4}, {Dim: loops.K, Size: 4}, {Dim: loops.C, Size: 2}},
-		{{Dim: loops.B, Size: 2}, {Dim: loops.B, Size: 2}, {Dim: loops.K, Size: 3}, {Dim: loops.K, Size: 3}, {Dim: loops.C, Size: 5}},
-		{{Dim: loops.B, Size: 2}, {Dim: loops.K, Size: 3}, {Dim: loops.C, Size: 5}, {Dim: loops.OY, Size: 7}, {Dim: loops.OX, Size: 9}},
-	}
-	for _, blocks := range cases {
+	for _, blocks := range permuteCases {
 		count := int64(0)
-		permute(blocks, func(loops.Nest) bool { count++; return true })
+		permuteFrom(blocks, 0, func(loops.Nest) bool { count++; return true })
 		if want := loops.DistinctOrderings(blocks); count != want {
-			t.Errorf("blocks %v: permute walks %d, DistinctOrderings says %d", blocks, count, want)
+			t.Errorf("blocks %v: permuteFrom walks %d, DistinctOrderings says %d", blocks, count, want)
+		}
+	}
+}
+
+// TestPermuteFromMatchesUnrank pins the walker's order to the rank
+// arithmetic the shards resume by: the i-th ordering a walk from rank 0
+// visits is loops.UnrankOrdering(blocks, i), and a walk from rank k visits
+// exactly the suffix from k on (nothing once k is past the end).
+func TestPermuteFromMatchesUnrank(t *testing.T) {
+	walk := func(blocks []loops.Loop, skip int64) []loops.Nest {
+		var out []loops.Nest
+		permuteFrom(blocks, skip, func(n loops.Nest) bool { out = append(out, n.Clone()); return true })
+		return out
+	}
+	for _, blocks := range permuteCases {
+		all := walk(blocks, 0)
+		total := loops.DistinctOrderings(blocks)
+		if int64(len(all)) != total {
+			t.Fatalf("blocks %v: walk visits %d, DistinctOrderings says %d", blocks, len(all), total)
+		}
+		for i, n := range all {
+			if u := loops.UnrankOrdering(blocks, int64(i)); n.String() != u.String() {
+				t.Fatalf("blocks %v: visit %d is %v, UnrankOrdering says %v", blocks, i, n, u)
+			}
+		}
+		for k := int64(0); k <= total; k++ {
+			got, want := walk(blocks, k), all[k:]
+			if len(got) != len(want) {
+				t.Fatalf("blocks %v skip %d: %d visits, want %d", blocks, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].String() != want[i].String() {
+					t.Fatalf("blocks %v skip %d: visit %d is %v, want %v", blocks, k, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -261,11 +261,8 @@ func PlanShards(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Optio
 		k = 1
 	}
 	o := opt.normalized()
-	if err := l.Validate(); err != nil {
+	if err := checkSearch(l, &o); err != nil {
 		return nil, err
-	}
-	if len(o.Spatial) == 0 {
-		return nil, fmt.Errorf("mapper: no spatial unrolling given")
 	}
 	_, dimSplits := walkSpace(l, &o)
 	cdim := make([]int64, loops.NumDims)
@@ -521,18 +518,12 @@ func SearchFingerprint(l *workload.Layer, a *arch.Arch, opt *Options) uint64 {
 	return bestKey(l, a, &o).Hash
 }
 
-// BestShard runs the modeBest search restricted to spec's position range and
-// returns the shard's outcome. Options must match the plan's exactly
-// (normalization is applied identically); Hooks, if any, observe only this
-// shard's slice of the walk.
-func BestShard(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Options, spec ShardSpec) (*ShardOutcome, error) {
-	return BestShardControlled(ctx, l, a, opt, spec, nil)
-}
-
-// BestShardControlled is BestShard with a live control handle: the walk
-// publishes its frontier through ctl and stops cleanly when ctl.Truncate is
-// crossed, reporting the unwalked remainder as Resume. A nil ctl is plain
-// BestShard.
+// BestShardControlled runs the modeBest search restricted to spec's position
+// range and returns the shard's outcome. Options must match the plan's
+// exactly (normalization is applied identically); Hooks, if any, observe only
+// this shard's slice of the walk. A non-nil ctl is a live control handle: the
+// walk publishes its frontier through it and stops cleanly when
+// ctl.Truncate is crossed, reporting the unwalked remainder as Resume.
 func BestShardControlled(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Options, spec ShardSpec, ctl *ShardControl) (*ShardOutcome, error) {
 	o := opt.normalized()
 	if err := validateSpec(spec); err != nil {

@@ -30,9 +30,9 @@ func runSharded(t *testing.T, l *workload.Layer, a *arch.Arch, opt *Options, k i
 	}
 	outs := make([]*ShardOutcome, len(plan.Specs))
 	for i, spec := range plan.Specs {
-		out, err := BestShard(context.Background(), l, a, opt, spec)
+		out, err := BestShardControlled(context.Background(), l, a, opt, spec, nil)
 		if err != nil {
-			t.Fatalf("BestShard(k=%d, shard=%d): %v", k, i, err)
+			t.Fatalf("BestShardControlled(k=%d, shard=%d): %v", k, i, err)
 		}
 		outs[i] = out
 	}
@@ -314,8 +314,8 @@ func TestBestShardValidation(t *testing.T) {
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},                     // walked < perm offset
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 1, WalkedBefore: 5, CappedBefore: true}, // capped at a visited position
 	} {
-		if _, err := BestShard(context.Background(), &mm, arch.InHouse(), &opt, spec); err == nil {
-			t.Errorf("BestShard(%+v): expected error", spec)
+		if _, err := BestShardControlled(context.Background(), &mm, arch.InHouse(), &opt, spec, nil); err == nil {
+			t.Errorf("BestShardControlled(%+v): expected error", spec)
 		}
 	}
 }

@@ -75,10 +75,6 @@ type Options struct {
 	Objective mapper.Objective
 	// NoPrefetch disables cross-layer weight prefetch overlap.
 	NoPrefetch bool
-	// NoReduce disables the symmetry-reduced mapping enumeration for the
-	// per-layer searches (mapper.Options.NoReduce). Results are identical
-	// either way; this is the escape hatch for timing the full walk.
-	NoReduce bool
 	// SpillBWBits is the off-chip bandwidth used to price intermediate
 	// tensors that do not fit on chip (default: the GB write port BW / 4,
 	// a DRAM-ish derating).
@@ -217,7 +213,6 @@ func Evaluate(ctx context.Context, n *Network, hw *arch.Arch, spatial loops.Nest
 			BWAware:       true,
 			Objective:     obj,
 			MaxCandidates: maxCand,
-			NoReduce:      opt.NoReduce,
 		}, opt.Run)
 		if err != nil {
 			layerErr[i] = fmt.Errorf("network %q layer %s: %w", n.Name, orig.Name, err)

@@ -239,7 +239,6 @@ type SearchRequest struct {
 	Objective  string `json:"objective,omitempty"` // latency|energy|edp
 	BWUnaware  bool   `json:"bw_unaware,omitempty"`
 	Pow2Splits bool   `json:"pow2_splits,omitempty"`
-	NoSym      bool   `json:"nosym,omitempty"`
 	// Shards fans the exhaustive search out over K deterministic subtree
 	// shards, executed on the server's configured peers (or in-process
 	// without peers). Results are bit-identical to the unsharded search for
@@ -330,7 +329,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Seed:       req.Seed,
 			Objective:  obj,
 			BWAware:    !req.BWUnaware,
-			NoReduce:   req.NoSym,
 			Hooks:      hooks,
 		})
 	} else {
@@ -340,7 +338,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			MaxCandidates: req.Budget,
 			Objective:     obj,
 			BWAware:       !req.BWUnaware,
-			NoReduce:      req.NoSym,
 			Hooks:         hooks,
 		}
 		var run mapper.SearchFunc
@@ -390,7 +387,6 @@ type NetworkRequest struct {
 	Budget     int    `json:"budget,omitempty"`
 	Objective  string `json:"objective,omitempty"`
 	NoPrefetch bool   `json:"no_prefetch,omitempty"`
-	NoSym      bool   `json:"nosym,omitempty"`
 	PlanGB     bool   `json:"plan_gb,omitempty"`
 	// Shards fans every cold per-layer mapping search out over K
 	// deterministic subtree shards on the server's configured peers (the
@@ -553,7 +549,6 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		MaxCandidates: req.Budget,
 		Objective:     obj,
 		NoPrefetch:    req.NoPrefetch,
-		NoReduce:      req.NoSym,
 		PlanGB:        req.PlanGB,
 		Run:           run,
 	})

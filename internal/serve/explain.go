@@ -28,7 +28,6 @@ type ExplainRequest struct {
 	Budget     int             `json:"budget,omitempty"`
 	Objective  string          `json:"objective,omitempty"`
 	Pow2Splits bool            `json:"pow2_splits,omitempty"`
-	NoSym      bool            `json:"nosym,omitempty"`
 	// IncludeTrace embeds the Chrome/Perfetto trace-event file in the
 	// response; TracePeriods caps slices per endpoint (default 64).
 	IncludeTrace bool `json:"include_trace,omitempty"`
@@ -99,7 +98,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			MaxCandidates: req.Budget,
 			Objective:     obj,
 			BWAware:       true,
-			NoReduce:      req.NoSym,
 		})
 		if err != nil {
 			writeError(w, s.errorStatus(r, err), err.Error())

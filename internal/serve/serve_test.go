@@ -56,9 +56,10 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response,
 const smallSearch = `{"layer":{"name":"l0","kind":"matmul","dims":{"B":32,"K":32,"C":32}},"budget":500}`
 
 // bigSearch is a request that runs far longer than any test deadline used
-// against it — an annealing run of millions of iterations (~25k/s) — while
-// still observing cancellation within 64 iterations (a few ms).
-const bigSearch = `{"layer":{"name":"big","kind":"matmul","dims":{"B":192,"K":192,"C":192}},"anneal":true,"iterations":10000000,"restarts":1,"nosym":true}`
+// against it — an annealing run of ten million iterations (a few hundred
+// thousand per second) — while still observing cancellation within 64
+// iterations (well under a millisecond).
+const bigSearch = `{"layer":{"name":"big","kind":"matmul","dims":{"B":192,"K":192,"C":192}},"anneal":true,"iterations":10000000,"restarts":1}`
 
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -151,17 +152,21 @@ func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, path, body string
+		field            string // the error must name it, when set
 	}{
-		{"unknown field", "/v1/search", `{"layre":{}}`},
-		{"syntax error", "/v1/search", `{"layer":`},
-		{"trailing data", "/v1/search", smallSearch + ` {"garbage":`},
-		{"trailing value", "/v1/search", smallSearch + ` {}`},
-		{"bad kind", "/v1/search", `{"layer":{"name":"x","kind":"conv9d","dims":{"B":1}}}`},
-		{"bad objective", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"objective":"speed"}`},
-		{"bad preset", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"arch":"warpdrive"}`},
-		{"bad spatial", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"spatial":"K banana"}`},
-		{"eval without mapping", "/v1/eval", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}}}`},
-		{"unknown net", "/v1/network", `{"net":"skynet"}`},
+		{"unknown field", "/v1/search", `{"layre":{}}`, ""},
+		{"syntax error", "/v1/search", `{"layer":`, ""},
+		{"trailing data", "/v1/search", smallSearch + ` {"garbage":`, ""},
+		{"trailing value", "/v1/search", smallSearch + ` {}`, ""},
+		{"bad kind", "/v1/search", `{"layer":{"name":"x","kind":"conv9d","dims":{"B":1}}}`, ""},
+		{"bad objective", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"objective":"speed"}`, ""},
+		{"bad preset", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"arch":"warpdrive"}`, ""},
+		{"bad spatial", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"spatial":"K banana"}`, ""},
+		{"eval without mapping", "/v1/eval", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}}}`, ""},
+		{"unknown net", "/v1/network", `{"net":"skynet"}`, ""},
+		{"nosym search", "/v1/search", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym"},
+		{"nosym explain", "/v1/explain", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym"},
+		{"nosym network", "/v1/network", `{"net":"handtracking","nosym":true}`, "nosym"},
 	}
 	for _, tc := range cases {
 		resp, data := post(t, ts, tc.path, tc.body)
@@ -171,6 +176,9 @@ func TestMalformedRequests(t *testing.T) {
 		var eb errorBody
 		if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body %q not of the standard shape", tc.name, data)
+		}
+		if !strings.Contains(eb.Error, tc.field) {
+			t.Errorf("%s: error %q does not name %q", tc.name, eb.Error, tc.field)
 		}
 	}
 	// Trailing whitespace after the value is not trailing data.
