@@ -30,7 +30,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -77,8 +76,6 @@ func main() {
 		progress = flag.Bool("progress", false, "stream live search telemetry to stderr")
 		shards   = flag.Int("shards", 1, "fan the exhaustive search out over K deterministic subtree shards (results bit-identical to -shards 1)")
 		nodes    = flag.String("nodes", "", "comma-separated servemodel base URLs to execute shards on (default: in-process goroutines)")
-		execs    = flag.Int("executors", 0, "bound on concurrently executing shards (default: -shards); idle executors steal from running ones")
-		nosteal  = flag.Bool("nosteal", false, "disable work stealing between shard executors (results bit-identical either way)")
 		ftrace   = flag.String("fabrictrace", "", "trace the sharded search: write the assembled fleet Perfetto trace to this file and the critical-path report to stderr (requires -shards > 1 or -nodes; results bit-identical with tracing off)")
 	)
 	flag.Parse()
@@ -119,7 +116,7 @@ func main() {
 		return
 	}
 
-	// archWire / archCfgWire tell remote shard executors which architecture
+	// archWire / archCfgWire tell remote shard nodes which architecture
 	// to load: the preset name when one is selected, the inline config form
 	// when -config replaced it.
 	archWire := *archName
@@ -206,16 +203,12 @@ func main() {
 			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, Hooks: hooks,
 		}
 		var run mapper.SearchFunc
-		var steals atomic.Int64
 		if *shards > 1 || *nodes != "" {
 			run = fabric.Runner(&fabric.Options{
 				Shards:     *shards,
 				Nodes:      splitList(*nodes),
 				ArchName:   archWire,
 				ArchConfig: archCfgWire,
-				Executors:  *execs,
-				NoSteal:    *nosteal,
-				Steals:     &steals,
 			})
 		}
 		// -fabrictrace roots a trace around the fan-out. Spans are pure
@@ -240,9 +233,6 @@ func main() {
 		if rec != nil {
 			root.End()
 			writeFabricTrace(rec, root.TraceID(), splitList(*nodes), *ftrace)
-		}
-		if n := steals.Load(); n > 0 {
-			fmt.Fprintf(os.Stderr, "fabric: %d shard steal(s) re-balanced the search\n", n)
 		}
 		fmt.Printf("arch: %s (%d MACs)\nlayer: %s\nsearch: %d nests, %d valid\n\n",
 			hw.Name, hw.MACs, layer.String(), stats.NestsGenerated, stats.Valid)

@@ -63,7 +63,6 @@ func main() {
 		peers      = flag.String("peers", "", "comma-separated base URLs of OTHER servemodel nodes that may execute search shards (do not list this node)")
 		remoteMemo = flag.String("remotememo", "", "base URL of a peer whose /v1/memo endpoints back a shared memo tier")
 		tenantWts  = flag.String("tenantweights", "", `per-tenant admission weights, e.g. "fast=3,batch=1" (unlisted tenants weigh 1)`)
-		shardSlow  = flag.Duration("shardslowdown", 0, "TEST HOOK: hold every shard walk open this long before starting, so a steal can land deterministically")
 		nodeName   = flag.String("nodename", "", `node label on spans in assembled fleet traces (default "servemodel"; give each node a distinct name)`)
 	)
 	flag.Parse()
@@ -125,7 +124,6 @@ func main() {
 		Peers:          peerList,
 		MemoStore:      localTier,
 		MemoVersion:    mapper.DiskVersion(),
-		ShardDelay:     *shardSlow,
 		NodeName:       *nodeName,
 	})
 	srv := &http.Server{

@@ -2,7 +2,7 @@ package fabric_test
 
 // Shard-count scaling on a BenchmarkMapperSearch-class workload, measured two
 // ways because wall clock only shows fan-out speedup when the machine (or
-// fleet) actually has K executors:
+// fleet) actually has K cores:
 //
 //   - BenchmarkFabricSearch/k=K: wall clock of the whole fabric.Search call —
 //     plan, K concurrent shards, merge. On a single-CPU runner this is flat
@@ -12,7 +12,7 @@ package fabric_test
 //     executed serially. ns/op is the TOTAL sharded work — its flatness
 //     across K demonstrates the partition duplicates nothing — and the
 //     critpath-ns/op metric is the slowest single shard: the wall clock a
-//     fleet with >= K executors would see, which is what must fall
+//     fleet with >= K cores would see, which is what must fall
 //     near-linearly in K.
 //
 // `make bench` records both in BENCH_mapper.json; EXPERIMENTS.md reads the
@@ -96,7 +96,7 @@ func benchShardWork(b *testing.B, layer workload.Layer, mo *mapper.Options) {
 				var crit time.Duration
 				for _, spec := range plan.Specs {
 					t0 := time.Now()
-					if _, err := mapper.BestShardControlled(context.Background(), &layer, hw, mo, spec, nil); err != nil {
+					if _, err := mapper.BestShard(context.Background(), &layer, hw, mo, spec); err != nil {
 						b.Fatal(err)
 					}
 					if d := time.Since(t0); d > crit {

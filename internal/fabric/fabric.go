@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -33,7 +34,7 @@ import (
 )
 
 // coordTid is the Perfetto lane for the coordinator's own phases (plan,
-// merge); executors take lanes coordTid+1..coordTid+E.
+// merge); shard i takes lane coordTid+1+i.
 const coordTid = 1
 
 // Options configures the fan-out. The zero value is a local single-shard
@@ -67,16 +68,8 @@ type Options struct {
 	// NoLocalFallback fails a shard whose every node attempt failed instead
 	// of recomputing it locally.
 	NoLocalFallback bool
-	// Executors bounds concurrently executing shards (default: Shards).
-	// Fewer executors than shards turns the plan into a work queue; more
-	// lets the pool split running shards onto the surplus via stealing.
-	Executors int
-	// NoSteal disables work stealing: an executor that runs out of queued
-	// shards just waits. The result is bit-identical either way (stealing
-	// re-plans exact position ranges); only wall-clock changes.
-	NoSteal bool
-	// Steals, when non-nil, is incremented once per landed steal (a shard
-	// stopped early and its remainder re-queued) — observability only.
+	// Steals is never incremented: the fabric no longer steals work. It is
+	// kept only because the ledger harness (bench/ledger) still reads it.
 	Steals *atomic.Int64
 }
 
@@ -140,40 +133,138 @@ func search(ctx context.Context, l *workload.Layer, a *arch.Arch, mo *mapper.Opt
 		}
 	}
 
-	// Fan out through the executor pool. The first failure cancels the
+	// One goroutine per planned shard. The first failure cancels the
 	// siblings: a dead shard makes the exact merge impossible, so finishing
 	// the others is wasted work.
-	e := fo.Executors
-	if e <= 0 {
-		e = len(plan.Specs)
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	p := newPool(runCtx, cancel, l, a, &shardOpts, fo, nodes, baseReq, plan)
-	var wg sync.WaitGroup
-	for i := 0; i < e; i++ {
+	f := &fanout{ctx: runCtx, l: l, a: a, o: &shardOpts, fo: fo, nodes: nodes, baseReq: baseReq}
+	outs := make([]*mapper.ShardOutcome, len(plan.Specs))
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		firstErr error
+	)
+	for i, spec := range plan.Specs {
+		end := plan.Total
+		if i+1 < len(plan.Specs) {
+			end = plan.Specs[i+1].WalkedBefore
+		}
 		wg.Add(1)
-		go func(tid int) {
+		go func() {
 			defer wg.Done()
-			p.executor(tid)
-		}(coordTid + 1 + i)
+			out, err := f.run(shard{idx: i, spec: spec, end: end})
+			if err != nil {
+				failOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+				return
+			}
+			outs[i] = out
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if p.err != nil {
-		return nil, nil, p.err
-	}
-	if fo.Steals != nil {
-		fo.Steals.Add(p.steals)
+	if firstErr != nil {
+		return nil, nil, firstErr
 	}
 	_, mergeSp := otrace.StartSpan(ctx, "fabric.merge", otrace.CatMerge)
 	mergeSp.SetTid(coordTid)
-	mergeSp.SetAttr("outcomes", fmt.Sprintf("%d", len(p.outs)))
-	cand, stats, err := mapper.MergeShards(l, a, mo, p.outs)
+	mergeSp.SetAttr("outcomes", fmt.Sprintf("%d", len(outs)))
+	cand, stats, err := mapper.MergeShards(l, a, mo, outs)
 	mergeSp.End()
 	return cand, stats, err
+}
+
+// fanout is the state every shard of one search shares.
+type fanout struct {
+	ctx     context.Context // canceled on the first shard failure
+	l       *workload.Layer
+	a       *arch.Arch
+	o       *mapper.Options
+	fo      *Options
+	nodes   []string
+	baseReq *ShardRequest
+}
+
+// shard is one planned spec: its plan index (node rotation, trace lane,
+// error text) and the exclusive global visited position where its range
+// ends (the next spec's WalkedBefore, or the plan total).
+type shard struct {
+	idx  int
+	spec mapper.ShardSpec
+	end  int64
+}
+
+// posKey names the shard's owned position range — the deterministic span
+// key that keeps a shard's spans identical across goroutine interleavings.
+func (s shard) posKey() string {
+	return fmt.Sprintf("%d:%d", s.spec.WalkedBefore, s.end)
+}
+
+// run executes one shard: locally, or remotely starting at node
+// idx%len(nodes) and failing over to the others in order, then locally
+// unless NoLocalFallback is set.
+func (f *fanout) run(s shard) (*mapper.ShardOutcome, error) {
+	tid := coordTid + 1 + s.idx
+	if len(f.nodes) == 0 {
+		return f.walkLocal(s, tid)
+	}
+	req := *f.baseReq
+	req.Shard = s.spec
+	body, err := json.Marshal(&req)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: encode shard %d: %w", s.idx, err)
+	}
+	var lastErr error
+	for attempt := 0; attempt < len(f.nodes); attempt++ {
+		node := f.nodes[(s.idx+attempt)%len(f.nodes)]
+		rctx, sp := otrace.StartSpanKeyed(f.ctx, "shard.rpc", otrace.CatRPC, node+"#"+s.posKey())
+		sp.SetTid(tid)
+		sp.SetAttr("node", node)
+		sp.SetAttr("pos_lo", fmt.Sprintf("%d", s.spec.WalkedBefore))
+		sp.SetAttr("pos_hi", fmt.Sprintf("%d", s.end))
+		out, err := postShard(rctx, f.fo, node, body)
+		if err == nil {
+			sp.SetAttr("outcome", "ok")
+			sp.End()
+			return out, nil
+		}
+		sp.SetAttr("outcome", "error")
+		sp.End()
+		lastErr = err
+		if f.ctx.Err() != nil {
+			return nil, f.ctx.Err()
+		}
+		slog.Warn("fabric: shard node attempt failed",
+			"shard", s.idx, "node", node, "err", err,
+			"trace_id", otrace.IDString(f.ctx), "tenant", f.fo.Tenant)
+	}
+	if f.fo.NoLocalFallback {
+		return nil, fmt.Errorf("fabric: shard %d failed on all %d node(s): %w", s.idx, len(f.nodes), lastErr)
+	}
+	slog.Warn("fabric: all nodes failed; falling back to local execution",
+		"shard", s.idx, "nodes", len(f.nodes), "err", lastErr,
+		"trace_id", otrace.IDString(f.ctx), "tenant", f.fo.Tenant)
+	return f.walkLocal(s, tid)
+}
+
+// walkLocal walks the shard in-process, recording the walk window with the
+// position-range attributes the span-invariant tests tile against the plan.
+func (f *fanout) walkLocal(s shard, tid int) (*mapper.ShardOutcome, error) {
+	wctx, sp := otrace.StartSpanKeyed(f.ctx, "shard.walk", otrace.CatWalk, s.posKey())
+	sp.SetTid(tid)
+	sp.SetAttr("pos_lo", fmt.Sprintf("%d", s.spec.WalkedBefore))
+	sp.SetAttr("pos_hi", fmt.Sprintf("%d", s.end))
+	out, err := mapper.BestShard(wctx, f.l, f.a, f.o, s.spec)
+	if err != nil {
+		sp.SetAttr("outcome", "error")
+	}
+	sp.End()
+	return out, err
 }
 
 // buildRequest assembles the node-independent part of the shard requests.

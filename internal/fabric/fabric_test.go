@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,21 +60,30 @@ func assertSameSearch(t *testing.T, tag string, ref *mapper.Candidate, refStats 
 }
 
 // TestSearchLocalIdentity: the pure-local fan-out matches mapper.Best for
-// K in {1, 2, 7, 16}.
+// K in {1, 2, 7, 16}, capped, with and without the symmetry reduction.
 func TestSearchLocalIdentity(t *testing.T) {
 	l := workload.ResNet18Suite()[3]
 	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
-	mo := &mapper.Options{Spatial: sp, MaxCandidates: 4000}
-	ref, refStats, err := mapper.Best(context.Background(), &l, hw, mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 7, 16} {
-		cand, stats, err := fabric.Search(context.Background(), &l, hw, mo, &fabric.Options{Shards: k})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		assertSameSearch(t, "local", ref, refStats, cand, stats)
+	for _, mc := range []struct {
+		name string
+		mo   mapper.Options
+	}{
+		{"capped", mapper.Options{Spatial: sp, MaxCandidates: 4000}},
+		{"noreduce-capped", mapper.Options{Spatial: sp, MaxCandidates: 4000, NoReduce: true}},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			ref, refStats, err := mapper.Best(context.Background(), &l, hw, &mc.mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 7, 16} {
+				cand, stats, err := fabric.Search(context.Background(), &l, hw, &mc.mo, &fabric.Options{Shards: k})
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				assertSameSearch(t, "local", ref, refStats, cand, stats)
+			}
+		})
 	}
 }
 
@@ -123,69 +134,10 @@ func TestSearchRemoteIdentity(t *testing.T) {
 	}
 }
 
-// TestSearchStealIdentity: every executor-pool shape — fewer executors than
-// shards (queue + tail stealing), surplus executors (immediate splitting),
-// stealing disabled — reproduces mapper.Best bit for bit, capped and
-// uncapped, with and without the symmetry reduction. The steal schedule is
-// timing-dependent by nature; the merged result must not be.
+// TestSearchStealIdentity: with work stealing gone, the Steals counter the
+// ledger harness still passes in must read zero after any fan-out, local or
+// remote, and the result must still match mapper.Best bit for bit.
 func TestSearchStealIdentity(t *testing.T) {
-	l := workload.ResNet18Suite()[3]
-	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
-	for _, mc := range []struct {
-		name string
-		mo   mapper.Options
-	}{
-		{"capped", mapper.Options{Spatial: sp, MaxCandidates: 4000}},
-		{"noreduce-capped", mapper.Options{Spatial: sp, MaxCandidates: 4000, NoReduce: true}},
-	} {
-		t.Run(mc.name, func(t *testing.T) {
-			ref, refStats, err := mapper.Best(context.Background(), &l, hw, &mc.mo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 2, 7, 16} {
-				execs := k / 2
-				if execs < 1 {
-					execs = 1
-				}
-				for _, tc := range []struct {
-					tag string
-					fo  fabric.Options
-				}{
-					{"queue", fabric.Options{Shards: k, Executors: execs}},
-					{"surplus", fabric.Options{Shards: k, Executors: k + 2}},
-					{"nosteal", fabric.Options{Shards: k, Executors: execs, NoSteal: true}},
-				} {
-					var steals atomic.Int64
-					tc.fo.Steals = &steals
-					cand, stats, err := fabric.Search(context.Background(), &l, hw, &mc.mo, &tc.fo)
-					if err != nil {
-						t.Fatalf("k=%d %s: %v", k, tc.tag, err)
-					}
-					assertSameSearch(t, tc.tag, ref, refStats, cand, stats)
-					if tc.fo.NoSteal && steals.Load() != 0 {
-						t.Errorf("k=%d: %d steals with NoSteal set", k, steals.Load())
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSearchRemoteSteal: a forced steal against a real servemodel node. The
-// node holds every shard walk open (ShardDelay), so when one executor runs
-// dry the victim is still inside its delay window and the steal POST lands
-// deterministically: the search must report at least one steal, the node's
-// steals counter must move, and the result must still match mapper.Best
-// exactly.
-func TestSearchRemoteSteal(t *testing.T) {
-	s := serve.New(serve.Config{
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		ShardDelay: 200 * time.Millisecond,
-	})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
 	l := workload.ResNet18Suite()[3]
 	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
 	mo := &mapper.Options{Spatial: sp, MaxCandidates: 4000}
@@ -193,34 +145,21 @@ func TestSearchRemoteSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var steals atomic.Int64
-	cand, stats, err := fabric.Search(context.Background(), &l, hw, mo, &fabric.Options{
-		Shards: 3, Executors: 2, Nodes: []string{ts.URL}, ArchName: "casestudy", Steals: &steals,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSearch(t, "remote-steal", ref, refStats, cand, stats)
-	if steals.Load() == 0 {
-		t.Fatal("forced-steal schedule landed no steal")
-	}
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	found := false
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "servemodel_fabric_steals_total ") {
-			found = true
-			if strings.TrimPrefix(line, "servemodel_fabric_steals_total ") == "0" {
-				t.Errorf("node reports zero steals after a landed steal")
-			}
+	node := quietServer(t)
+	for _, fo := range []fabric.Options{
+		{Shards: 7},
+		{Shards: 5, Nodes: []string{node.URL}, ArchName: "casestudy", NoLocalFallback: true},
+	} {
+		var steals atomic.Int64
+		fo.Steals = &steals
+		cand, stats, err := fabric.Search(context.Background(), &l, hw, mo, &fo)
+		if err != nil {
+			t.Fatalf("k=%d nodes=%d: %v", fo.Shards, len(fo.Nodes), err)
 		}
-	}
-	if !found {
-		t.Error("servemodel_fabric_steals_total missing from /metrics")
+		assertSameSearch(t, "steals", ref, refStats, cand, stats)
+		if n := steals.Load(); n != 0 {
+			t.Errorf("k=%d nodes=%d: %d steals counted", fo.Shards, len(fo.Nodes), n)
+		}
 	}
 }
 
@@ -280,27 +219,58 @@ func TestShardRejectsMaxSplits(t *testing.T) {
 	}
 }
 
-// TestSearchCancellation: canceling mid-search aborts promptly with the
-// context's error and leaks no goroutines — neither the local shard workers
-// nor the fan-out goroutines.
+// TestSearchCancellation: canceling mid-search aborts with the context's
+// error and leaks no goroutines — neither the local shard walks nor the
+// fan-out goroutines nor the remote calls.
 func TestSearchCancellation(t *testing.T) {
-	l := workload.NewConv2D("big", 4, 128, 128, 28, 28, 3, 3)
-	lowered := workload.Im2Col(l)
 	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
-	mo := &mapper.Options{Spatial: sp, MaxCandidates: 2_000_000, NoReduce: true}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	node := serve.New(serve.Config{Logger: quiet})
 
 	before := runtime.NumGoroutine()
+
+	// Local leg: a 30 ms deadline against an unreduced walk of 6,770,310
+	// orderings that takes about 2.1 s uncanceled at 7 shards on two cores
+	// (planning takes 5-10 ms), so the deadline lands mid-walk and a search
+	// that ignored it would overrun the 500 ms bound below.
+	big := workload.Im2Col(workload.NewConv2D("big", 48, 768, 768, 48, 48, 3, 3))
+	bigOpts := &mapper.Options{Spatial: sp, MaxCandidates: 10_000_000, NoReduce: true}
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		_, _, err := fabric.Search(ctx, &lowered, hw, mo, &fabric.Options{Shards: 7})
+		t0 := time.Now()
+		_, _, err := fabric.Search(ctx, &big, hw, bigOpts, &fabric.Options{Shards: 7})
+		took := time.Since(t0)
 		cancel()
-		if err == nil {
-			t.Fatal("expected cancellation error")
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("local: err = %v, want the context's deadline error", err)
 		}
-		if ctx.Err() == nil {
-			t.Fatalf("search failed before the deadline: %v", err)
+		if took > 500*time.Millisecond {
+			t.Errorf("local: canceled search took %v to return", took)
 		}
 	}
+
+	// Remote leg: the node cancels the search when the first shard request
+	// reaches it, so the cancel lands inside the fan-out whatever the walk
+	// speed.
+	l := workload.ResNet18Suite()[3]
+	mo := &mapper.Options{Spatial: sp, MaxCandidates: 4000}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				once.Do(cancel)
+			}
+			node.Handler().ServeHTTP(w, r)
+		}))
+		_, _, err := fabric.Search(ctx, &l, hw, mo, &fabric.Options{Shards: 7, Nodes: []string{ts.URL}, ArchName: "casestudy"})
+		cancel()
+		ts.Close()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("remote: err = %v, want the context's cancellation error", err)
+		}
+	}
+
 	// Goroutine counts settle asynchronously; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -3,14 +3,13 @@ package fabric_test
 // Tracing contract tests: spans are pure observation (bit-identical search
 // with tracing on vs off, under -race via the package's race target), the
 // span tree is well-formed (children nest inside parents on one clock),
-// shard-walk position ranges tile the plan disjointly and exhaustively for
-// any steal schedule, and the assembled critical-path report's categories
-// sum to the coordinator root's wall time exactly.
+// shard-walk position ranges tile the plan disjointly and exhaustively, and
+// the assembled critical-path report's categories sum to the coordinator
+// root's wall time exactly.
 
 import (
 	"context"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,12 +54,11 @@ func TestFabricTraceBitIdentity(t *testing.T) {
 	l := workload.ResNet18Suite()[3]
 	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
 	mo := &mapper.Options{Spatial: sp, MaxCandidates: 4000}
-	fo := &fabric.Options{Shards: 7, Executors: 3}
-	ref, refStats, err := fabric.Search(context.Background(), &l, hw, mo, fo)
+	ref, refStats, err := fabric.Search(context.Background(), &l, hw, mo, &fabric.Options{Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, stats, _ := tracedSearch(t, &fabric.Options{Shards: 7, Executors: 3})
+	cand, stats, _ := tracedSearch(t, &fabric.Options{Shards: 7})
 	assertSameSearch(t, "traced-vs-untraced", ref, refStats, cand, stats)
 }
 
@@ -82,105 +80,83 @@ func spanIndex(w otrace.WireTrace) (byID map[string]otrace.WireSpan, walks []otr
 // the root), children nest inside their parent's window (same clock, so
 // exact up to the recorded durations), and walk ranges tile the plan.
 func TestFabricSpanTreeInvariants(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fo   fabric.Options
-	}{
-		{"nosteal", fabric.Options{Shards: 5, Executors: 5, NoSteal: true}},
-		{"steal", fabric.Options{Shards: 5, Executors: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var steals atomic.Int64
-			fo := tc.fo
-			fo.Steals = &steals
-			_, _, w := tracedSearch(t, &fo)
-			byID, walks := spanIndex(w)
+	// "nosteal": the plain planned fan-out, the only schedule the fabric has.
+	t.Run("nosteal", func(t *testing.T) {
+		_, _, w := tracedSearch(t, &fabric.Options{Shards: 5})
+		byID, walks := spanIndex(w)
 
-			var root otrace.WireSpan
-			for _, s := range w.Spans {
-				if s.Parent == "" {
-					if root.ID != "" {
-						t.Fatalf("two parentless spans: %s and %s", root.ID, s.ID)
-					}
-					root = s
+		var root otrace.WireSpan
+		for _, s := range w.Spans {
+			if s.Parent == "" {
+				if root.ID != "" {
+					t.Fatalf("two parentless spans: %s and %s", root.ID, s.ID)
 				}
+				root = s
 			}
-			if root.Name != "fabric.search" {
-				t.Fatalf("root span %q", root.Name)
+		}
+		if root.Name != "fabric.search" {
+			t.Fatalf("root span %q", root.Name)
+		}
+		const slop = int64(2 * time.Millisecond) // clock-read slop between span creation and parent End
+		for _, s := range w.Spans {
+			if s.Parent == "" {
+				continue
 			}
-			const slop = int64(2 * time.Millisecond) // clock-read slop between span creation and parent End
-			for _, s := range w.Spans {
-				if s.Parent == "" {
-					continue
-				}
-				p, ok := byID[s.Parent]
-				if !ok {
-					t.Fatalf("span %s (%s) has unknown parent %s", s.ID, s.Name, s.Parent)
-				}
-				if s.StartNS < p.StartNS-slop || s.StartNS+s.DurNS > p.StartNS+p.DurNS+slop {
-					t.Errorf("span %s (%s) [%d,+%d] escapes parent %s [%d,+%d]",
-						s.ID, s.Name, s.StartNS, s.DurNS, p.Name, p.StartNS, p.DurNS)
-				}
+			p, ok := byID[s.Parent]
+			if !ok {
+				t.Fatalf("span %s (%s) has unknown parent %s", s.ID, s.Name, s.Parent)
 			}
+			if s.StartNS < p.StartNS-slop || s.StartNS+s.DurNS > p.StartNS+p.DurNS+slop {
+				t.Errorf("span %s (%s) [%d,+%d] escapes parent %s [%d,+%d]",
+					s.ID, s.Name, s.StartNS, s.DurNS, p.Name, p.StartNS, p.DurNS)
+			}
+		}
 
-			// Walk ranges [pos_lo, pos_done) must be disjoint and exhaustive
-			// over [0, total): the tracing view of the fabric's ownership
-			// contract, for any steal schedule.
-			var plan otrace.WireSpan
-			for _, s := range w.Spans {
-				if s.Name == "fabric.plan" {
-					plan = s
+		// Walk ranges [pos_lo, pos_hi) must be disjoint and exhaustive over
+		// [0, total): the tracing view of the fabric's ownership contract.
+		var plan otrace.WireSpan
+		for _, s := range w.Spans {
+			if s.Name == "fabric.plan" {
+				plan = s
+			}
+		}
+		total, err := strconv.ParseInt(plan.Attrs["total"], 10, 64)
+		if err != nil || total <= 0 {
+			t.Fatalf("fabric.plan total attr: %v (%v)", plan.Attrs, err)
+		}
+		type rng struct{ lo, hi int64 }
+		var owned []rng
+		for _, s := range walks {
+			lo, err1 := strconv.ParseInt(s.Attrs["pos_lo"], 10, 64)
+			hi, err2 := strconv.ParseInt(s.Attrs["pos_hi"], 10, 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("walk span attrs: %v", s.Attrs)
+			}
+			if hi > lo {
+				owned = append(owned, rng{lo: lo, hi: hi})
+			}
+		}
+		for i := range owned {
+			for j := range owned {
+				if i < j && owned[i].lo < owned[j].hi && owned[j].lo < owned[i].hi {
+					t.Fatalf("walk ranges overlap: %v and %v", owned[i], owned[j])
 				}
 			}
-			total, err := strconv.ParseInt(plan.Attrs["total"], 10, 64)
-			if err != nil || total <= 0 {
-				t.Fatalf("fabric.plan total attr: %v (%v)", plan.Attrs, err)
-			}
-			type rng struct{ lo, hi int64 }
-			var owned []rng
-			for _, s := range walks {
-				lo, err1 := strconv.ParseInt(s.Attrs["pos_lo"], 10, 64)
-				done, err2 := strconv.ParseInt(s.Attrs["pos_done"], 10, 64)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("walk span attrs: %v", s.Attrs)
-				}
-				if done > lo {
-					owned = append(owned, rng{lo: lo, hi: done})
-				}
-			}
-			for i := range owned {
-				for j := range owned {
-					if i < j && owned[i].lo < owned[j].hi && owned[j].lo < owned[i].hi {
-						t.Fatalf("walk ranges overlap: %v and %v", owned[i], owned[j])
-					}
-				}
-			}
-			var covered int64
-			for _, r := range owned {
-				covered += r.hi - r.lo
-			}
-			if covered != total {
-				t.Fatalf("walk ranges cover %d of %d positions", covered, total)
-			}
-			if tc.name == "steal" && steals.Load() > 0 {
-				var sawTrunc bool
-				for _, s := range walks {
-					if s.Attrs["truncated"] == "true" {
-						sawTrunc = true
-					}
-				}
-				if !sawTrunc {
-					t.Errorf("steals landed (%d) but no walk span marked truncated", steals.Load())
-				}
-			}
-		})
-	}
+		}
+		var covered int64
+		for _, r := range owned {
+			covered += r.hi - r.lo
+		}
+		if covered != total {
+			t.Fatalf("walk ranges cover %d of %d positions", covered, total)
+		}
+	})
 }
 
 // TestFabricCriticalPathIdentity: assembling a real local run attributes
 // every nanosecond of root wall time, exactly.
 func TestFabricCriticalPathIdentity(t *testing.T) {
-	_, _, w := tracedSearch(t, &fabric.Options{Shards: 6, Executors: 3})
+	_, _, w := tracedSearch(t, &fabric.Options{Shards: 6})
 	a, err := otrace.Assemble("coord", []otrace.WireTrace{w})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +167,7 @@ func TestFabricCriticalPathIdentity(t *testing.T) {
 	}
 	for name, v := range map[string]int64{
 		"plan": rep.PlanNS, "queue": rep.QueueNS, "walk": rep.WalkNS,
-		"steal": rep.StealNS, "memo": rep.MemoNS, "network": rep.NetworkNS,
+		"memo": rep.MemoNS, "network": rep.NetworkNS,
 		"merge": rep.MergeNS, "other": rep.OtherNS,
 	} {
 		if v < 0 {
@@ -201,20 +177,20 @@ func TestFabricCriticalPathIdentity(t *testing.T) {
 	if rep.WalkNS == 0 {
 		t.Errorf("local sharded search attributed no walk time")
 	}
-	// The pool is walking almost the whole window; "other" (untracked
+	// The shards walk almost the whole window; "other" (untracked
 	// coordinator time) must stay a modest fraction of wall.
 	if rep.WallNS > 0 && rep.OtherNS > rep.WallNS/2 {
 		t.Errorf("other = %d ns of %d ns wall (> 50%%)", rep.OtherNS, rep.WallNS)
 	}
 }
 
-// TestFabricTraceDeterministicIDs: two identical no-steal runs under the
-// same trace ID produce the same span IDs for the same logical spans
-// (walks keyed by position range), regardless of executor interleaving.
+// TestFabricTraceDeterministicIDs: two identical runs under the same trace
+// ID produce the same span IDs for the same logical spans (walks keyed by
+// position range), regardless of goroutine interleaving.
 func TestFabricTraceDeterministicIDs(t *testing.T) {
 	tr, _ := otrace.ParseTraceID("00112233445566778899aabbccddeeff")
 	ids := func() map[string]string {
-		_, _, w := tracedSearchIn(t, &fabric.Options{Shards: 5, Executors: 5, NoSteal: true}, tr)
+		_, _, w := tracedSearchIn(t, &fabric.Options{Shards: 5}, tr)
 		m := map[string]string{}
 		for _, s := range w.Spans {
 			switch s.Name {

@@ -32,19 +32,6 @@ type ShardRequest struct {
 	NoPrune         bool             `json:"noprune,omitempty"`
 	TimeoutMS       int              `json:"timeout_ms,omitempty"`
 	Shard           mapper.ShardSpec `json:"shard"`
-	// Sid is the coordinator-chosen steal handle: when set, the node
-	// registers the shard's live ShardControl under it for the duration of
-	// the walk, and a POST /v1/shard/steal naming it stops the walk at the
-	// exact current frontier. The response then carries Truncated plus the
-	// Resume spec for the unwalked remainder.
-	Sid string `json:"sid,omitempty"`
-}
-
-// StealRequest is the POST /v1/shard/steal body: stop the in-flight shard
-// registered under Sid at its exact walk frontier so the coordinator can
-// re-plan the remainder onto idle executors.
-type StealRequest struct {
-	Sid string `json:"sid"`
 }
 
 // SearchOptions rebuilds the mapper options the shard must run under; sp is
@@ -87,10 +74,6 @@ type ShardResponse struct {
 	// integer range), so merge-time mismatches name the misconfigured node.
 	Spec  mapper.ShardSpec `json:"spec"`
 	OptFP uint64           `json:"opt_fp,string,omitempty"`
-	// Truncated reports a steal stopped the walk early; Resume is then the
-	// spec covering the unwalked remainder of the requested range.
-	Truncated bool              `json:"truncated,omitempty"`
-	Resume    *mapper.ShardSpec `json:"resume,omitempty"`
 }
 
 // EncodeOutcome converts a shard outcome to its wire form.
@@ -114,11 +97,6 @@ func EncodeOutcome(out *mapper.ShardOutcome) ShardResponse {
 		resp.Temporal = out.Temporal.String()
 		resp.Seq = out.Seq
 	}
-	if out.Truncated {
-		resp.Truncated = true
-		resume := out.Resume
-		resp.Resume = &resume
-	}
 	return resp
 }
 
@@ -138,13 +116,6 @@ func (r *ShardResponse) Outcome() (*mapper.ShardOutcome, error) {
 		Classes: r.Classes,
 		Spec:    r.Spec,
 		OptFP:   r.OptFP,
-	}
-	if r.Truncated {
-		if r.Resume == nil {
-			return nil, fmt.Errorf("fabric: truncated shard response carries no resume spec")
-		}
-		out.Truncated = true
-		out.Resume = *r.Resume
 	}
 	if r.Found {
 		nest, err := loops.ParseNest(r.Temporal)

@@ -419,14 +419,10 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 	// [winLo, winHi) is the slice of those positions this shard owns — set
 	// as each prefix is entered, unbounded for interior prefixes and
 	// unsharded runs. shardDone trips when the walk crosses the shard's
-	// upper boundary (or a ShardControl truncation) and aborts the descent.
+	// upper boundary and aborts the descent.
 	prefixPos := int64(0)
 	winLo, winHi := int64(0), int64(math.MaxInt64)
 	shardDone := false
-	var ctl *ShardControl
-	if sh != nil {
-		ctl = sh.ctl
-	}
 	var rec func(d int, blocks []loops.Loop, prod float64, base int64)
 	body := func(d int, blocks []loops.Loop, prod float64, base int64) {
 		if d == loops.NumDims {
@@ -525,26 +521,10 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 					capped = true
 					return false
 				}
-				if ctl != nil && int64(walked) >= ctl.limit.Load() {
-					// Truncation stop, BEFORE this visit: (base, prefixPos)
-					// is the exact handoff position for the remainder.
-					sh.truncated = true
-					sh.resume = ShardSpec{
-						Depth: sh.spec.Depth,
-						Lo:    base, PermLo: prefixPos,
-						Hi: sh.spec.Hi, PermHi: sh.spec.PermHi,
-						WalkedBefore: int64(walked),
-					}
-					shardDone = true
-					return false
-				}
 				walked++
 				prefixPos++
 				if e.hooks != nil && walked%progressInterval == 0 {
 					e.hooks.EmitProgress(e.obsSnapshot(st, int64(walked), false))
-				}
-				if ctl != nil && walked%frontierInterval == 0 {
-					ctl.frontier.Store(int64(walked))
 				}
 				if reduce {
 					if sh == nil {
@@ -573,8 +553,8 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 			permuteFrom(blocks, skip, visit)
 			if ownsStart && v < n {
 				// Exact cap remainder of a leaf whose first position this
-				// shard owns — added even when a boundary or truncation
-				// stopped the visits early, because the remainder is fixed
+				// shard owns — added even when a boundary stopped the
+				// visits early, because the remainder is fixed
 				// by the budget, not by who visited what.
 				st.Skipped += int(n - v)
 			}

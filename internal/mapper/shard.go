@@ -24,14 +24,12 @@ package mapper
 // records by signature (a class straddling shards is re-emitted by each, so
 // distinct signatures — not per-shard counts — define NestsGenerated), which
 // makes Best and every exact Stats counter bit-identical to the single-shard
-// search for any K, any shard→node placement, any worker count — and, with
-// ShardControl truncation plus SplitShard re-planning, any steal schedule.
+// search for any K, any shard→node placement and any worker count.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/loops"
@@ -108,12 +106,6 @@ type ShardOutcome struct {
 	// names the misconfigured shard instead of guessing.
 	Spec  ShardSpec
 	OptFP uint64
-
-	// Truncated reports that a ShardControl stop cut the walk short; the
-	// outcome then covers exactly [(Spec.Lo, Spec.PermLo), (Resume.Lo,
-	// Resume.PermLo)) and Resume is the spec for the unwalked remainder.
-	Truncated bool
-	Resume    ShardSpec
 }
 
 // ShardPlan is the planner's output: K specs covering the full walk exactly,
@@ -123,71 +115,22 @@ type ShardPlan struct {
 	Prefixes int64
 	// Total is the exact number of orderings the whole walk visits (budget
 	// cap included), i.e. the exclusive end position of the last spec.
-	// Schedulers use end-position arithmetic (next spec's WalkedBefore, or
-	// Total for the last) to estimate a running shard's remaining work.
 	Total int64
 	Specs []ShardSpec
 }
 
-// ShardControl is the live handle onto a running shard's walk: the shard
-// publishes its exact frontier (the global count of orderings visited so
-// far) every frontierInterval visits, and Truncate asks it to stop cleanly
-// at the first visit at or past a given count. The stop is exact — the
-// outcome reports the precise resume position — so a steal is pure
-// arithmetic and results stay bit-identical for any truncation timing.
-type ShardControl struct {
-	frontier atomic.Int64
-	limit    atomic.Int64
-}
-
-// NewShardControl returns a control handle primed at the spec's entry
-// position with no truncation limit.
-func NewShardControl(spec ShardSpec) *ShardControl {
-	c := &ShardControl{}
-	c.frontier.Store(spec.WalkedBefore)
-	c.limit.Store(math.MaxInt64)
-	return c
-}
-
-// Frontier returns the shard's last published visited count. It lags the
-// true position by at most frontierInterval visits.
-func (c *ShardControl) Frontier() int64 {
-	return c.frontier.Load()
-}
-
-// Truncate asks the walk to stop before its first visit at or past global
-// position limit. Positions already visited are unaffected; a limit at or
-// past the shard's end is a no-op. Idempotent; the lowest limit wins.
-func (c *ShardControl) Truncate(limit int64) {
-	for {
-		cur := c.limit.Load()
-		if cur <= limit || c.limit.CompareAndSwap(cur, limit) {
-			return
-		}
-	}
-}
-
-// frontierInterval is how often (in visited orderings) a controlled shard
-// publishes its frontier: one atomic store every 512 visits keeps the
-// publish overhead invisible while bounding steal staleness.
-const frontierInterval = 512
-
 // shardRun is the engine-side shard state: the spec restricting the walk,
-// the optional live control handle, or — for the planner — simulate+weightf
-// replaying the walk arithmetically. The engine epilogue fills classes,
-// bestSeq; the generator fills truncated/resume when a control stop fires.
+// or — for the planner — simulate+weightf replaying the walk
+// arithmetically. The engine epilogue fills classes and bestSeq.
 type shardRun struct {
 	spec     ShardSpec
-	ctl      *ShardControl
 	simulate bool
 	// weightf observes each reached depth-D prefix in walk order: its index,
 	// the orderings visited under it and the cap flag after it. Prefixes
 	// inside subtrees pruned above depth D are never reported (weight 0).
-	weightf   func(prefix int64, visited int, capped bool)
-	classes   []ShardClass
-	bestSeq   int64
-	truncated bool
-	resume    ShardSpec
+	weightf func(prefix int64, visited int, capped bool)
+	classes []ShardClass
+	bestSeq int64
 }
 
 // meterRange replays the walk arithmetically over the depth-`depth` prefix
@@ -409,85 +352,6 @@ func PlanShards(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Optio
 	return plan, nil
 }
 
-// SplitShard partitions the still-unwalked range of spec into up to m
-// contiguous specs with near-equal visited counts, using one arithmetic
-// replay over the spec's prefix range. It is the steal-side counterpart of
-// PlanShards: the input is typically a truncated shard's Resume spec, and
-// the output specs tile it exactly — same depth, same walk-state handoff
-// arithmetic — so executing them in any placement reproduces the original
-// range bit for bit. Fewer than m specs come back when the range has too few
-// visited orderings to split further.
-func SplitShard(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Options, spec ShardSpec, m int) ([]ShardSpec, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := validateSpec(spec); err != nil {
-		return nil, err
-	}
-	if m < 2 || (spec.Lo == spec.Hi && spec.PermHi <= spec.PermLo) {
-		return []ShardSpec{spec}, nil
-	}
-	o := opt.normalized()
-	hi := spec.Hi
-	if spec.PermHi > 0 {
-		hi++ // prefix Hi is partially owned: meter it too
-	}
-	weights, capAfter, err := meterRange(ctx, l, a, &o, spec.Depth, spec.Lo, hi, spec.WalkedBefore-spec.PermLo, spec.CappedBefore)
-	if err != nil {
-		return nil, err
-	}
-	// Owned visited count: prefix Lo from PermLo on, interior prefixes
-	// whole, prefix Hi up to PermHi.
-	total := -spec.PermLo
-	for _, w := range weights {
-		total += w
-	}
-	if spec.PermHi > 0 {
-		total -= weights[len(weights)-1] - spec.PermHi
-	}
-	if total < int64(m) {
-		m = int(max(total, 1))
-	}
-
-	specs := make([]ShardSpec, 0, m)
-	cur := spec
-	cum := spec.WalkedBefore // visited count at the start of the next prefix scan
-	p := spec.Lo
-	wAt := func(q int64) int64 { return weights[q-spec.Lo] }
-	capAt := func(q int64) bool { return capAfter[q-spec.Lo] }
-	cumAt := cum - spec.PermLo // visited before prefix p
-	for i := 1; i < m; i++ {
-		tgt := spec.WalkedBefore + (total*int64(i)+int64(m)/2)/int64(m)
-		// Advance to the prefix containing position tgt.
-		for p < hi && cumAt+wAt(p) <= tgt {
-			cumAt += wAt(p)
-			p++
-		}
-		var b ShardSpec
-		if p == hi || cumAt == tgt {
-			b = ShardSpec{Depth: spec.Depth, Lo: p, WalkedBefore: cumAt}
-			if p > spec.Lo {
-				b.CappedBefore = capAt(p - 1)
-			} else {
-				b.CappedBefore = spec.CappedBefore
-			}
-		} else {
-			b = ShardSpec{Depth: spec.Depth, Lo: p, PermLo: tgt - cumAt, WalkedBefore: tgt}
-		}
-		if b.Lo == cur.Lo && b.PermLo == cur.PermLo {
-			continue // empty piece: fold into the next
-		}
-		piece := cur
-		piece.Hi, piece.PermHi = b.Lo, b.PermLo
-		specs = append(specs, piece)
-		cur = spec
-		cur.Lo, cur.PermLo = b.Lo, b.PermLo
-		cur.WalkedBefore, cur.CappedBefore = b.WalkedBefore, b.CappedBefore
-	}
-	specs = append(specs, cur)
-	return specs, nil
-}
-
 // validateSpec rejects geometrically impossible shard specs.
 func validateSpec(spec ShardSpec) error {
 	if spec.Depth < 1 || spec.Depth > loops.NumDims {
@@ -518,18 +382,16 @@ func SearchFingerprint(l *workload.Layer, a *arch.Arch, opt *Options) uint64 {
 	return bestKey(l, a, &o).Hash
 }
 
-// BestShardControlled runs the modeBest search restricted to spec's position
-// range and returns the shard's outcome. Options must match the plan's
-// exactly (normalization is applied identically); Hooks, if any, observe only
-// this shard's slice of the walk. A non-nil ctl is a live control handle: the
-// walk publishes its frontier through it and stops cleanly when
-// ctl.Truncate is crossed, reporting the unwalked remainder as Resume.
-func BestShardControlled(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Options, spec ShardSpec, ctl *ShardControl) (*ShardOutcome, error) {
+// BestShard runs the modeBest search restricted to spec's position range and
+// returns the shard's outcome. Options must match the plan's exactly
+// (normalization is applied identically); Hooks, if any, observe only this
+// shard's slice of the walk.
+func BestShard(ctx context.Context, l *workload.Layer, a *arch.Arch, opt *Options, spec ShardSpec) (*ShardOutcome, error) {
 	o := opt.normalized()
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	sh := &shardRun{spec: spec, ctl: ctl}
+	sh := &shardRun{spec: spec}
 	best, _, stats, err := runSearch(ctx, l, a, &o, modeBest, sh)
 	if err != nil {
 		return nil, err
@@ -537,7 +399,6 @@ func BestShardControlled(ctx context.Context, l *workload.Layer, a *arch.Arch, o
 	out := &ShardOutcome{
 		Stats: *stats, Classes: sh.classes,
 		Spec: spec, OptFP: bestKey(l, a, &o).Hash,
-		Truncated: sh.truncated, Resume: sh.resume,
 	}
 	if best != nil {
 		out.Found = true

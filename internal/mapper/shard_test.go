@@ -30,9 +30,9 @@ func runSharded(t *testing.T, l *workload.Layer, a *arch.Arch, opt *Options, k i
 	}
 	outs := make([]*ShardOutcome, len(plan.Specs))
 	for i, spec := range plan.Specs {
-		out, err := BestShardControlled(context.Background(), l, a, opt, spec, nil)
+		out, err := BestShard(context.Background(), l, a, opt, spec)
 		if err != nil {
-			t.Fatalf("BestShardControlled(k=%d, shard=%d): %v", k, i, err)
+			t.Fatalf("BestShard(k=%d, shard=%d): %v", k, i, err)
 		}
 		outs[i] = out
 	}
@@ -149,119 +149,6 @@ func TestShardedSearchIdentitySubSplit(t *testing.T) {
 	}
 }
 
-// TestShardStealIdentity: truncating running shards at arbitrary positions
-// and re-planning every remainder with SplitShard — the fabric's steal cycle
-// — reproduces the single-engine search bit for bit for any truncation
-// schedule, capped or not, with or without the reduction.
-func TestShardStealIdentity(t *testing.T) {
-	conv := workload.ResNet18Suite()[3]
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"reduce", Options{Spatial: arch.CaseStudySpatial()}},
-		{"capped", Options{Spatial: arch.CaseStudySpatial(), MaxCandidates: 700}},
-		{"noreduce-capped", Options{Spatial: arch.CaseStudySpatial(), NoReduce: true, MaxCandidates: 4000}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref, refStats, err := Best(context.Background(), &conv, arch.CaseStudy(), &tc.opt)
-			if err != nil {
-				t.Fatalf("Best: %v", err)
-			}
-			wantStats := normalizeStats(*refStats)
-			for _, k := range []int{2, 7} {
-				opt := tc.opt
-				plan, err := PlanShards(context.Background(), &conv, arch.CaseStudy(), &opt, k)
-				if err != nil {
-					t.Fatalf("PlanShards(k=%d): %v", k, err)
-				}
-				var outs []*ShardOutcome
-				truncated := 0
-				queue := append([]ShardSpec(nil), plan.Specs...)
-				for len(queue) > 0 {
-					spec := queue[0]
-					queue = queue[1:]
-					ctl := NewShardControl(spec)
-					if truncated < 3 {
-						// Force a stop a prime number of visits in: an
-						// arbitrary position no boundary arithmetic aligns
-						// with.
-						ctl.Truncate(spec.WalkedBefore + 37)
-					}
-					out, err := BestShardControlled(context.Background(), &conv, arch.CaseStudy(), &opt, spec, ctl)
-					if err != nil {
-						t.Fatalf("k=%d: BestShardControlled: %v", k, err)
-					}
-					outs = append(outs, out)
-					if out.Truncated {
-						truncated++
-						pieces, err := SplitShard(context.Background(), &conv, arch.CaseStudy(), &opt, out.Resume, 2)
-						if err != nil {
-							t.Fatalf("k=%d: SplitShard: %v", k, err)
-						}
-						queue = append(queue, pieces...)
-					}
-				}
-				if truncated == 0 {
-					t.Fatalf("k=%d: no shard truncated; the schedule exercises nothing", k)
-				}
-				cand, stats, err := MergeShards(&conv, arch.CaseStudy(), &opt, outs)
-				if err != nil {
-					t.Fatalf("k=%d: MergeShards: %v", k, err)
-				}
-				if cand == nil {
-					t.Fatalf("k=%d: merge found no winner, Best did", k)
-				}
-				if got, want := cand.Mapping.Temporal.String(), ref.Mapping.Temporal.String(); got != want {
-					t.Errorf("k=%d: winner %q, want %q", k, got, want)
-				}
-				if got := normalizeStats(*stats); !reflect.DeepEqual(got, wantStats) {
-					t.Errorf("k=%d (%d steals): stats %+v, want %+v", k, truncated, got, wantStats)
-				}
-			}
-		})
-	}
-}
-
-// TestSplitShardTiling: SplitShard's pieces chain exactly — first piece
-// starts at the input spec's position, each boundary is shared, the last
-// piece ends at the input's end, and WalkedBefore is monotone.
-func TestSplitShardTiling(t *testing.T) {
-	conv := workload.NewConv2D("capped", 1, 128, 128, 14, 14, 3, 3)
-	opt := Options{Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 20000}
-	plan, err := PlanShards(context.Background(), &conv, arch.CaseStudy(), &opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range plan.Specs {
-		for _, m := range []int{1, 2, 5} {
-			pieces, err := SplitShard(context.Background(), &conv, arch.CaseStudy(), &opt, spec, m)
-			if err != nil {
-				t.Fatalf("SplitShard(%+v, %d): %v", spec, m, err)
-			}
-			if len(pieces) == 0 || len(pieces) > m {
-				t.Fatalf("SplitShard(%+v, %d): %d pieces", spec, m, len(pieces))
-			}
-			first, last := pieces[0], pieces[len(pieces)-1]
-			if first.Lo != spec.Lo || first.PermLo != spec.PermLo || first.WalkedBefore != spec.WalkedBefore {
-				t.Errorf("m=%d: first piece %+v does not start at %+v", m, first, spec)
-			}
-			if last.Hi != spec.Hi || last.PermHi != spec.PermHi {
-				t.Errorf("m=%d: last piece %+v does not end at %+v", m, last, spec)
-			}
-			for i := 1; i < len(pieces); i++ {
-				a, b := pieces[i-1], pieces[i]
-				if b.Lo != a.Hi || b.PermLo != a.PermHi {
-					t.Errorf("m=%d: pieces %d/%d do not chain: %+v then %+v", m, i-1, i, a, b)
-				}
-				if b.WalkedBefore < a.WalkedBefore {
-					t.Errorf("m=%d: WalkedBefore went backwards at piece %d", m, i)
-				}
-			}
-		}
-	}
-}
-
 // TestShardPlanInvariants: shard specs tile [0, Prefixes) contiguously and
 // the walk-state handoff is consistent (monotone WalkedBefore starting at 0;
 // once the capped flag hands off true it stays true).
@@ -314,13 +201,13 @@ func TestBestShardValidation(t *testing.T) {
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},                     // walked < perm offset
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 1, WalkedBefore: 5, CappedBefore: true}, // capped at a visited position
 	} {
-		if _, err := BestShardControlled(context.Background(), &mm, arch.InHouse(), &opt, spec, nil); err == nil {
-			t.Errorf("BestShardControlled(%+v): expected error", spec)
+		if _, err := BestShard(context.Background(), &mm, arch.InHouse(), &opt, spec); err == nil {
+			t.Errorf("BestShard(%+v): expected error", spec)
 		}
 	}
 }
 
-// / TestPlanShardsCanceled: a canceled context aborts planning.
+// TestPlanShardsCanceled: a canceled context aborts planning.
 func TestPlanShardsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

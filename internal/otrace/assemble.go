@@ -15,9 +15,12 @@ import (
 // not work).
 const (
 	CatPlan  = "plan"  // fabric.PlanShards
-	CatQueue = "queue" // admission / executor-pool queue wait
+	CatQueue = "queue" // node admission queue wait
 	CatWalk  = "walk"  // shard walk window
-	CatSteal = "steal" // steal truncate / split / re-queue
+	// CatSteal is emitted by nothing since the fabric stopped stealing work;
+	// it stays only because the ledger harness (bench/ledger) still reads
+	// Report.StealNS.
+	CatSteal = "steal"
 	CatMemo  = "memo"  // memo.Store get/put
 	CatRPC   = "rpc"   // coordinator-side remote shard call (whole RTT)
 	CatMerge = "merge" // fabric.MergeShards
@@ -33,14 +36,15 @@ var sweepOrder = []string{CatMerge, CatPlan, CatMemo, CatQueue, CatSteal, CatWal
 
 // Report is the critical-path attribution: every nanosecond of the
 // coordinator root span's duration lands in exactly one bucket, so
-// Plan+Queue+Walk+Steal+Memo+Network+Merge+Other == Wall (DiffNS is kept
+// Plan+Queue+Walk+Memo+Network+Merge+Other == Wall (DiffNS is kept
 // only as a tripwire; it is zero by construction).
 type Report struct {
-	TraceID   string   `json:"trace_id"`
-	WallNS    int64    `json:"wall_ns"`
-	PlanNS    int64    `json:"plan_ns"`
-	QueueNS   int64    `json:"queue_ns"`
-	WalkNS    int64    `json:"walk_ns"`
+	TraceID string `json:"trace_id"`
+	WallNS  int64  `json:"wall_ns"`
+	PlanNS  int64  `json:"plan_ns"`
+	QueueNS int64  `json:"queue_ns"`
+	WalkNS  int64  `json:"walk_ns"`
+	// StealNS is always 0 (see CatSteal); kept for the ledger harness.
 	StealNS   int64    `json:"steal_ns"`
 	MemoNS    int64    `json:"memo_ns"`
 	NetworkNS int64    `json:"network_ns"`
@@ -67,7 +71,6 @@ func (rep Report) Format() string {
 	row("plan", rep.PlanNS)
 	row("queue", rep.QueueNS)
 	row("walk", rep.WalkNS)
-	row("steal", rep.StealNS)
 	row("memo", rep.MemoNS)
 	row("network", rep.NetworkNS)
 	row("merge", rep.MergeNS)
@@ -301,7 +304,7 @@ func criticalPath(coordinator string, root *WireSpan, all []WireSpan) Report {
 }
 
 // perfetto renders the spans as Chrome trace events: one pid per node
-// (coordinator first), tids as recorded (executor lanes), ts in
+// (coordinator first), tids as recorded (shard lanes), ts in
 // microseconds relative to the root start. Remote clocks are aligned by
 // centring each node's earliest RPC-child root inside its RPC span.
 func perfetto(coordinator string, root *WireSpan, nodes []string, all []WireSpan) []obs.TraceEvent {
@@ -382,7 +385,7 @@ func perfetto(coordinator string, root *WireSpan, nodes []string, all []WireSpan
 	for key := range tids {
 		name := "lane"
 		if key[1] > 1 {
-			name = fmt.Sprintf("executor %d", key[1]-1)
+			name = fmt.Sprintf("shard %d", key[1]-2)
 		}
 		meta(key[0], key[1], "thread_name", name)
 	}

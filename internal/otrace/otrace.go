@@ -200,7 +200,7 @@ func (s *Span) SetAttr(k, v string) {
 	s.mu.Unlock()
 }
 
-// SetTid pins the span to a logical track (an executor index). 0 lets the
+// SetTid pins the span to a logical track (a shard lane). 0 lets the
 // assembler assign lanes by overlap.
 func (s *Span) SetTid(tid int) {
 	if s == nil {
@@ -265,7 +265,7 @@ func StartSpan(ctx context.Context, name, cat string) (context.Context, *Span) {
 // StartSpanKeyed is StartSpan with an identity key folded into the span ID:
 // spans whose name repeats but whose logical identity differs (one walk span
 // per shard position range) stay deterministically distinguishable no matter
-// which executor picks them up first.
+// which goroutine runs them first.
 func StartSpanKeyed(ctx context.Context, name, cat, key string) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {

@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/config"
@@ -320,7 +319,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	var cand *mapper.Candidate
 	var stats *mapper.Stats
-	var steals atomic.Int64
 	if req.Anneal {
 		cand, err = mapper.AnnealCached(ctx, &l, hw, &mapper.AnnealOptions{
 			Spatial:    sp,
@@ -351,12 +349,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				ArchConfig: req.ArchConfig,
 				Tenant:     tenantOf(r),
 				TimeoutMS:  req.TimeoutMS,
-				Steals:     &steals,
 			})
 			noteFrom(r.Context()).addShards(int64(req.Shards))
 		}
 		cand, stats, err = mapper.BestCachedVia(ctx, &l, hw, opt, run)
-		noteFrom(r.Context()).addSteals(steals.Load())
 	}
 	if err != nil {
 		tracker.finish(0, nil, err)

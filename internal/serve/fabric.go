@@ -13,47 +13,12 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/mapper"
 	"repro/internal/memo"
 	"repro/internal/otrace"
 )
-
-// stealRegistry indexes the live ShardControls of in-flight shard requests
-// by their coordinator-chosen sid, so POST /v1/shard/steal can reach into a
-// running walk. Entries live exactly as long as the walk; a steal for a sid
-// that already finished (or never ran here) is a 404, which the coordinator
-// treats as "victim completes whole".
-type stealRegistry struct {
-	mu   sync.Mutex
-	byID map[string]*mapper.ShardControl
-}
-
-func newStealRegistry() *stealRegistry {
-	return &stealRegistry{byID: map[string]*mapper.ShardControl{}}
-}
-
-func (sr *stealRegistry) add(sid string, ctl *mapper.ShardControl) {
-	sr.mu.Lock()
-	sr.byID[sid] = ctl
-	sr.mu.Unlock()
-}
-
-func (sr *stealRegistry) remove(sid string) {
-	sr.mu.Lock()
-	delete(sr.byID, sid)
-	sr.mu.Unlock()
-}
-
-func (sr *stealRegistry) get(sid string) (*mapper.ShardControl, bool) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	ctl, ok := sr.byID[sid]
-	return ctl, ok
-}
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req fabric.ShardRequest
@@ -80,64 +45,23 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	o := req.SearchOptions(sp, obj)
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	ctl := mapper.NewShardControl(req.Shard)
-	if req.Sid != "" {
-		s.steals.add(req.Sid, ctl)
-		defer s.steals.remove(req.Sid)
-	}
-	if d := s.cfg.ShardDelay; d > 0 {
-		// Test hook: hold the walk open so an integration or smoke test can
-		// land a steal deterministically. Bounded by the request context.
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-		}
-	}
 	// The walk span's duration is what the coordinator's critical-path
 	// attribution charges to "walk" inside this shard's RPC window; the
 	// position attrs tie it back to the plan range it covered.
 	wctx, wsp := otrace.StartSpanKeyed(ctx, "shard.walk", otrace.CatWalk,
 		fmt.Sprintf("%d", req.Shard.WalkedBefore))
 	wsp.SetAttr("pos_lo", fmt.Sprintf("%d", req.Shard.WalkedBefore))
-	out, err := mapper.BestShardControlled(wctx, &l, hw, &o, req.Shard, ctl)
+	out, err := mapper.BestShard(wctx, &l, hw, &o, req.Shard)
 	if err != nil {
 		wsp.SetAttr("outcome", "error")
 		wsp.End()
 		writeError(w, s.errorStatus(r, err), err.Error())
 		return
 	}
-	if out.Truncated {
-		wsp.SetAttr("truncated", "true")
-		wsp.SetAttr("pos_done", fmt.Sprintf("%d", out.Resume.WalkedBefore))
-	}
 	wsp.End()
 	s.met.fabricShards.Add(1)
 	noteFrom(r.Context()).addShards(1)
-	if out.Truncated {
-		s.met.fabricSteals.Add(1)
-		noteFrom(r.Context()).addSteals(1)
-	}
 	writeJSON(w, http.StatusOK, fabric.EncodeOutcome(out))
-}
-
-// handleShardSteal stops the in-flight shard registered under the given sid
-// at its exact walk frontier. 202 means "stopping"; the stolen remainder
-// comes back to the coordinator in the original shard request's response.
-func (s *Server) handleShardSteal(w http.ResponseWriter, r *http.Request) {
-	var req fabric.StealRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctl, ok := s.steals.get(req.Sid)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no in-flight shard with that sid")
-		return
-	}
-	ctl.Truncate(ctl.Frontier())
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "stopping"})
 }
 
 func (s *Server) handleMemoGet(w http.ResponseWriter, r *http.Request) {

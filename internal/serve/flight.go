@@ -2,7 +2,7 @@ package serve
 
 // The flight recorder and the per-node trace export. Every finished request
 // leaves one bounded-ring summary line (endpoint, tenant, trace id, outcome,
-// duration, shard/steal counts) behind at GET /v1/debug/requests — enough to
+// duration, shard count) behind at GET /v1/debug/requests — enough to
 // answer "what has this node been doing" after the fact without scraping
 // logs. GET /v1/trace/{id} exports one trace's recorded spans in the otrace
 // wire form; a coordinator fetches the same id from every node it touched
@@ -36,11 +36,9 @@ type flightEntry struct {
 	RequestID string  `json:"request_id"`
 	Code      int     `json:"code"`
 	DurMS     float64 `json:"dur_ms"`
-	// Shards / Steals count the fabric work this request fanned out (the
-	// coordinator's /v1/search) or executed (/v1/shard: 1 shard, and a steal
-	// when the walk was truncated).
+	// Shards counts the fabric work this request fanned out (the
+	// coordinator's /v1/search) or executed (/v1/shard: 1 shard).
 	Shards int64 `json:"shards,omitempty"`
-	Steals int64 `json:"steals,omitempty"`
 }
 
 // flightRing is the bounded ring, plus the request-id generator: ids are
@@ -130,7 +128,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // reqNote rides the request context so deep handlers (shard walks, fabric
 // runs) can annotate the flight-recorder entry written after they return.
 type reqNote struct {
-	shards, steals atomic.Int64
+	shards atomic.Int64
 }
 
 type noteKey struct{}
@@ -148,11 +146,5 @@ func noteFrom(ctx context.Context) *reqNote {
 func (n *reqNote) addShards(d int64) {
 	if n != nil {
 		n.shards.Add(d)
-	}
-}
-
-func (n *reqNote) addSteals(d int64) {
-	if n != nil {
-		n.steals.Add(d)
 	}
 }

@@ -162,11 +162,8 @@ type metrics struct {
 	shed      counter
 	search    searchCounters
 	// fabricShards counts shard requests this node executed on behalf of a
-	// remote coordinator (POST /v1/shard); fabricSteals counts the subset a
-	// /v1/shard/steal stopped early so the coordinator could re-balance the
-	// remainder.
+	// remote coordinator (POST /v1/shard).
 	fabricShards counter
-	fabricSteals counter
 	// phaseSeconds times the mapper's internal phases (generate, score,
 	// search, anneal), fed by the telemetry hooks of searches this server computed.
 	phaseSeconds *labeledHistogram
@@ -253,10 +250,6 @@ func (m *metrics) write(w io.Writer, memo memoSnapshot, adm admissionSnapshot, s
 	fmt.Fprintf(w, "# HELP servemodel_fabric_shards_total Search shards executed by this node for a remote coordinator.\n")
 	fmt.Fprintf(w, "# TYPE servemodel_fabric_shards_total counter\n")
 	fmt.Fprintf(w, "servemodel_fabric_shards_total %d\n", m.fabricShards.Load())
-
-	fmt.Fprintf(w, "# HELP servemodel_fabric_steals_total Shard walks this node stopped early for a coordinator's work stealing.\n")
-	fmt.Fprintf(w, "# TYPE servemodel_fabric_steals_total counter\n")
-	fmt.Fprintf(w, "servemodel_fabric_steals_total %d\n", m.fabricSteals.Load())
 
 	fmt.Fprintf(w, "# HELP servemodel_inflight Requests currently being served, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE servemodel_inflight gauge\n")

@@ -153,23 +153,34 @@ func TestMalformedRequests(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		field            string // the error must name it, when set
+		status           int    // 0: 400 with the standard error body
 	}{
-		{"unknown field", "/v1/search", `{"layre":{}}`, ""},
-		{"syntax error", "/v1/search", `{"layer":`, ""},
-		{"trailing data", "/v1/search", smallSearch + ` {"garbage":`, ""},
-		{"trailing value", "/v1/search", smallSearch + ` {}`, ""},
-		{"bad kind", "/v1/search", `{"layer":{"name":"x","kind":"conv9d","dims":{"B":1}}}`, ""},
-		{"bad objective", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"objective":"speed"}`, ""},
-		{"bad preset", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"arch":"warpdrive"}`, ""},
-		{"bad spatial", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"spatial":"K banana"}`, ""},
-		{"eval without mapping", "/v1/eval", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}}}`, ""},
-		{"unknown net", "/v1/network", `{"net":"skynet"}`, ""},
-		{"nosym search", "/v1/search", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym"},
-		{"nosym explain", "/v1/explain", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym"},
-		{"nosym network", "/v1/network", `{"net":"handtracking","nosym":true}`, "nosym"},
+		{"unknown field", "/v1/search", `{"layre":{}}`, "", 0},
+		{"syntax error", "/v1/search", `{"layer":`, "", 0},
+		{"trailing data", "/v1/search", smallSearch + ` {"garbage":`, "", 0},
+		{"trailing value", "/v1/search", smallSearch + ` {}`, "", 0},
+		{"bad kind", "/v1/search", `{"layer":{"name":"x","kind":"conv9d","dims":{"B":1}}}`, "", 0},
+		{"bad objective", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"objective":"speed"}`, "", 0},
+		{"bad preset", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"arch":"warpdrive"}`, "", 0},
+		{"bad spatial", "/v1/search", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}},"spatial":"K banana"}`, "", 0},
+		{"eval without mapping", "/v1/eval", `{"layer":{"name":"x","kind":"matmul","dims":{"B":8,"K":8,"C":8}}}`, "", 0},
+		{"unknown net", "/v1/network", `{"net":"skynet"}`, "", 0},
+		{"nosym search", "/v1/search", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym", 0},
+		{"nosym explain", "/v1/explain", strings.TrimSuffix(smallSearch, "}") + `,"nosym":true}`, "nosym", 0},
+		{"nosym network", "/v1/network", `{"net":"handtracking","nosym":true}`, "nosym", 0},
+		// The fabric no longer steals work: a shard carrying an old
+		// coordinator's steal handle is refused, and the steal route is gone.
+		{"shard sid", "/v1/shard", `{"arch":"casestudy","layer":{"name":"m","kind":"matmul","dims":{"B":16,"K":32,"C":32}},"shard":{"depth":1,"lo":0,"hi":1},"sid":"c0ffee-1"}`, "sid", 0},
+		{"shard steal", "/v1/shard/steal", `{"sid":"c0ffee-1"}`, "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		resp, data := post(t, ts, tc.path, tc.body)
+		if tc.status != 0 {
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s: status = %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
+			}
+			continue
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%s)", tc.name, resp.StatusCode, data)
 		}

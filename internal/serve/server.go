@@ -86,11 +86,6 @@ type Config struct {
 	// version are answered as misses / dropped so nodes running different
 	// model arithmetic never mix results (default mapper.DiskVersion()).
 	MemoVersion int
-	// ShardDelay holds every POST /v1/shard walk open for this long after
-	// its steal handle is registered, before the walk starts. Test hook
-	// only (-shardslowdown): it gives an integration or smoke test a
-	// deterministic window to land a /v1/shard/steal against this node.
-	ShardDelay time.Duration
 	// NodeName labels this node's spans in assembled fleet traces (one
 	// Perfetto process row per node; default "servemodel").
 	NodeName string
@@ -146,8 +141,6 @@ type Server struct {
 	met *metrics
 	// progress tracks live search telemetry, keyed by search_id.
 	progress *progressRegistry
-	// steals tracks in-flight shard walks by sid for /v1/shard/steal.
-	steals *stealRegistry
 	// flight is the bounded ring of finished-request summaries
 	// (/v1/debug/requests) and the X-Request-Id generator.
 	flight *flightRing
@@ -167,9 +160,8 @@ func New(cfg Config) *Server {
 		log:      cfg.Logger,
 		mux:      http.NewServeMux(),
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.TenantWeights),
-		met:      newMetrics(time.Now(), "eval", "search", "network", "metrics", "healthz", "explain", "progress", "shard", "shard_steal", "memo_get", "memo_put", "trace", "debug_requests"),
+		met:      newMetrics(time.Now(), "eval", "search", "network", "metrics", "healthz", "explain", "progress", "shard", "memo_get", "memo_put", "trace", "debug_requests"),
 		progress: newProgressRegistry(),
-		steals:   newStealRegistry(),
 		flight:   newFlightRing(flightRingSize),
 	}
 	s.base, s.baseCancel = context.WithCancel(context.Background())
@@ -181,9 +173,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/explain", s.instrument("explain", true, s.handleExplain))
 	s.mux.Handle("POST /v1/network", s.instrument("network", true, s.handleNetwork))
 	s.mux.Handle("POST /v1/shard", s.instrument("shard", true, s.handleShard))
-	// The steal endpoint bypasses admission: it must reach a node whose
-	// slots are all busy walking — that is exactly when stealing matters.
-	s.mux.Handle("POST /v1/shard/steal", s.instrument("shard_steal", false, s.handleShardSteal))
 	s.mux.Handle("POST /v1/memo/get", s.instrument("memo_get", false, s.handleMemoGet))
 	s.mux.Handle("POST /v1/memo/put", s.instrument("memo_put", false, s.handleMemoPut))
 	s.mux.Handle("GET /v1/trace/{id}", s.instrument("trace", false, s.handleTrace))
@@ -221,7 +210,7 @@ func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Ha
 		w.Header().Set("X-Request-Id", reqID)
 
 		// A propagated traceparent joins the caller's trace on ANY endpoint,
-		// so a coordinator's shard walks, steals and memo exchanges land in
+		// so a coordinator's shard walks and memo exchanges land in
 		// its trace; an admitted request without one roots a fresh trace of
 		// its own. Plumbing endpoints (metrics, healthz, trace export) never
 		// mint traces — they would flood the bounded recorder.
@@ -285,7 +274,6 @@ func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Ha
 			Code:      sw.code,
 			DurMS:     float64(d.Microseconds()) / 1e3,
 			Shards:    note.shards.Load(),
-			Steals:    note.steals.Load(),
 		})
 	})
 }
